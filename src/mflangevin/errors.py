@@ -83,7 +83,7 @@ class RestartBudgetExceeded(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Power iteration did not converge within the iteration cap."""
+    """The Lanczos eigensolver did not converge within its restart cap."""
 
 
 # -- dynamics -----------------------------------------------------------------

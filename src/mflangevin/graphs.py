@@ -3,17 +3,20 @@
 The quantity of interest is epsilon = ||A - d P|| / d where P projects on the
 constant vector: small epsilon means the top adjacency eigenvalue is isolated
 and the graph behaves like the complete graph after rescaling by its degree.
-The top singular value is computed by power iteration on the centred matvec
-y = A x - d * mean(x) * 1 without ever materialising the dense matrix.
+The top singular value is the largest-magnitude eigenvalue of the centred
+matrix, found by Lanczos (ARPACK via `scipy.sparse.linalg.eigsh`) on the
+matvec y = A x - d * mean(x) * 1 without ever materialising the dense matrix.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import InfeasibleDegree, NoConvergence, RestartBudgetExceeded
+from .errors import InfeasibleDegree, NoConvergence, PreconditionError, RestartBudgetExceeded
 
 __all__ = [
     "GraphInstance",
@@ -26,7 +29,7 @@ __all__ = [
 ]
 
 _RESTART_BUDGET = 10_000
-_POWER_MAX_ITER = 100_000
+_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,7 @@ class GraphInstance:
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -81,35 +81,27 @@ def gen_rrg(n: int, d: int, seed: int) -> GraphInstance:
     if (n * d) % 2 != 0:
         raise InfeasibleDegree("n*d must be even")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, d]))
-    if d == 0:
-        return GraphInstance(n=n, edges=np.empty((0, 2), dtype=int), kind="regular",
-                             d_eff=0.0, seed=seed)
-
     for _ in range(_RESTART_BUDGET):
         stubs = np.repeat(np.arange(n), d)
-        edges: set[tuple[int, int]] = set()
-        ok = True
+        keys = np.empty(0, dtype=np.int64)      # sorted accepted edges i*n + j, i < j
         while len(stubs):
             rng.shuffle(stubs)
             a, b = stubs[0::2], stubs[1::2]
-            leftovers = []
-            progressed = False
-            for u, v in zip(a, b):
-                if u == v:
-                    leftovers += [u, v]
-                    continue
-                e = (u, v) if u < v else (v, u)
-                if e in edges:
-                    leftovers += [u, v]
-                    continue
-                edges.add(e)
-                progressed = True
-            if not progressed:
-                ok = False
+            round_keys = np.minimum(a, b) * n + np.maximum(a, b)
+            pos = np.searchsorted(keys, round_keys)
+            taken = pos < len(keys)
+            taken[taken] = keys[pos[taken]] == round_keys[taken]
+            fresh = np.flatnonzero((a != b) & ~taken)
+            # within a round the first pair with a given key wins
+            _, first = np.unique(round_keys[fresh], return_index=True)
+            accept = np.zeros(len(a), dtype=bool)
+            accept[fresh[first]] = True
+            if not accept.any():
                 break
-            stubs = np.array(leftovers, dtype=int)
-        if ok:
-            arr = np.array(sorted(edges), dtype=int)
+            keys = np.sort(np.concatenate([keys, round_keys[accept]]))
+            stubs = np.column_stack([a[~accept], b[~accept]]).ravel()
+        else:
+            arr = np.column_stack([keys // n, keys % n])
             return GraphInstance(n=n, edges=arr, kind="regular", d_eff=float(d), seed=seed)
     raise RestartBudgetExceeded(f"pairing model failed {_RESTART_BUDGET} restarts at n={n}, d={d}")
 
@@ -128,61 +120,68 @@ def gen_er(n: int, d_mean: float, seed: int) -> GraphInstance:
 
 def centered_matvec(g: GraphInstance, a: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
     """y = A x - d_eff * mean(x) * 1, the matvec of the centred matrix."""
-    return a @ x - g.d_eff * float(np.mean(x)) * np.ones_like(x)
+    return a @ x - g.d_eff * float(np.mean(x))
 
 
 def spectral_report(g: GraphInstance) -> SpectralReport:
-    """Top singular value of the centred adjacency matrix by power iteration.
+    """Top singular value of the symmetric centred matrix B: its largest |eigenvalue|.
 
-    Iterates on the squared matrix (two centred matvecs per step) so that
-    paired +/- extreme eigenvalues cannot stall the iteration; stops when the
-    Rayleigh quotient is stable to 1e-10 relative and the eigen-residual is
-    below 1e-8 of the singular value.
+    Lanczos runs to machine precision (tol=0) from a start vector drawn from the
+    graph's seed.  `iterations` counts the matvecs by B; `residual` is ||B v - lambda v||.
     """
     if g.d_eff <= 0:
         return SpectralReport(epsilon=0.0, top_singular=0.0, iterations=0, residual=0.0)
     a = g.adjacency()
-    rng = np.random.default_rng(np.random.SeedSequence([g.seed, 0xB]))
-    x = rng.standard_normal(g.n)
-    x /= np.linalg.norm(x)
-    rayleigh = 0.0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        y = centered_matvec(g, a, centered_matvec(g, a, x))
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return SpectralReport(epsilon=0.0, top_singular=0.0, iterations=it, residual=0.0)
-        new_rayleigh = float(x @ y)
-        y /= norm_y
-        if it % 8 == 0 or abs(new_rayleigh - rayleigh) <= 1e-10 * abs(new_rayleigh):
-            s_sq = max(new_rayleigh, 0.0)
-            s = float(np.sqrt(s_sq))
-            resid_vec = centered_matvec(g, a, centered_matvec(g, a, x)) - s_sq * x
-            residual = float(np.linalg.norm(resid_vec)) / max(s, 1e-300)
-            if (abs(new_rayleigh - rayleigh) <= 1e-10 * abs(new_rayleigh)
-                    and residual < 1e-8 * s):
-                return SpectralReport(epsilon=s / g.d_eff, top_singular=s,
-                                      iterations=it, residual=residual)
-        rayleigh = new_rayleigh
-        x = y
-    raise NoConvergence(f"power iteration did not converge in {_POWER_MAX_ITER} steps")
+    matvecs = 0
+
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return centered_matvec(g, a, x)
+
+    op = LinearOperator((g.n, g.n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(np.random.SeedSequence([g.seed, 0xB])).standard_normal(g.n)
+    try:
+        (lam,), vecs = eigsh(op, k=1, which="LM", tol=0, v0=v0, maxiter=_MAX_ITER)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos did not converge in {_MAX_ITER} restarts") from exc
+    v = vecs[:, 0]
+    s = abs(float(lam))
+    residual = float(np.linalg.norm(centered_matvec(g, a, v) - lam * v))
+    return SpectralReport(epsilon=s / g.d_eff, top_singular=s, iterations=matvecs,
+                          residual=residual)
 
 
 def write_edge_list(g: GraphInstance, path) -> None:
     """First line `n d_eff kind seed`, then one 0-indexed `i j` pair per line."""
+    body = "".join(f"{i} {j}\n" for i, j in g.edges.tolist())
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.d_eff:.17g} {g.kind} {g.seed}\n")
-        for i, j in g.edges:
-            fh.write(f"{i} {j}\n")
+        fh.write(f"{g.n} {g.d_eff:.17g} {g.kind} {g.seed}\n{body}")
 
 
 def read_edge_list(path) -> GraphInstance:
+    """Inverse of `write_edge_list`.
+
+    Raises PreconditionError on a malformed header or line, d_eff outside
+    [0, n-1], or edges that are not distinct pairs 0 <= i < j < n.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        n, d_eff, kind, seed = int(header[0]), float(header[1]), header[2], int(header[3])
-        edges = []
-        for line in fh:
-            if line.strip():
-                i, j = line.split()
-                edges.append((int(i), int(j)))
-    arr = np.array(edges, dtype=int) if edges else np.empty((0, 2), dtype=int)
-    return GraphInstance(n=n, edges=arr, kind=kind, d_eff=d_eff, seed=seed)
+        header, _, body = fh.read().partition("\n")
+    try:
+        n, d_eff, kind, seed = header.split()
+        n, d_eff, seed = int(n), float(d_eff), int(seed)
+        if not 0 <= d_eff <= n - 1:
+            raise ValueError(f"d_eff = {d_eff} outside [0, n-1] for n = {n}")
+        edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+                 if body.strip() else np.empty((0, 2), dtype=np.int64))
+        if edges.shape[1] != 2:
+            raise ValueError("every edge line must hold exactly two vertices `i j`")
+        i, j = edges[:, 0], edges[:, 1]
+        if np.any(i < 0) or np.any(i >= j) or np.any(j >= n):
+            raise ValueError(f"every edge `i j` needs 0 <= i < j < {n}")
+        keys = np.sort(i * n + j)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicated edge")
+    except ValueError as exc:
+        raise PreconditionError(f"malformed edge list {path}: {exc}") from None
+    return GraphInstance(n=n, edges=edges, kind=kind, d_eff=d_eff, seed=seed)

@@ -3,7 +3,8 @@ import os
 import warnings
 
 import numpy as np
-from mflangevin import cli
+import pytest
+from mflangevin import cli, graphs
 
 
 def run(*argv):
@@ -115,6 +116,44 @@ def test_graph_pipeline(tmp_path):
     payload = read_json(spec_out / "spectrum.json")
     assert 0 < payload["epsilon"] < 1
     assert payload["residual"] < 1e-8 * payload["top_singular"]
+
+
+BAD_EDGE_LISTS = {
+    "self_loop": "4 1 regular 0\n0 0\n1 2\n",
+    "duplicate": "4 1 regular 0\n0 1\n2 3\n2 3\n",
+    "reversed": "4 1 regular 0\n1 0\n",
+    "out_of_range": "4 1 regular 0\n0 1\n2 4\n",
+    "negative_vertex": "4 1 regular 0\n-1 2\n",
+    "empty": "",
+    "short_header": "4 1 regular\n0 1\n",
+    "bad_header_number": "4 x regular 0\n",
+    "degree_above_n": "4 5 regular 0\n0 1\n",
+    "short_line": "4 1 regular 0\n0 1\n2\n",
+    "long_line": "4 1 regular 0\n0 1 2\n",
+    "non_integer": "4 1 regular 0\n0 x\n",
+}
+
+
+@pytest.mark.parametrize("command", ["graph-spectrum", "simulate"])
+@pytest.mark.parametrize("name", sorted(BAD_EDGE_LISTS))
+def test_malformed_edge_list_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / "bad.edges"
+    path.write_text(BAD_EDGE_LISTS[name])
+    extra = ["--n", "4", "--steps", "10", "--burn-in", "0"] if command == "simulate" else []
+    code = run(command, "--graph", str(path), *extra, "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("precondition violation:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_graph_spectrum_no_convergence_exit_3(tmp_path, monkeypatch):
+    gen_out = tmp_path / "g"
+    assert run("graph-gen", "--kind", "regular", "--n", "1000", "--d", "20",
+               "--seed", "5", "--out", str(gen_out)) == 0
+    monkeypatch.setattr(graphs, "_MAX_ITER", 1)
+    assert run("graph-spectrum", "--graph", str(gen_out / "graph.edges"),
+               "--out", str(tmp_path / "s")) == 3
 
 
 def test_simulate_estimate_plateau(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mflangevin import graphs as gr
-from mflangevin.errors import InfeasibleDegree
+from mflangevin.errors import InfeasibleDegree, NoConvergence
 
 
 @settings(max_examples=20, deadline=None)
@@ -38,6 +38,38 @@ def test_rrg_infeasible():
         gr.gen_rrg(4, 4, 1)  # d >= n
 
 
+def _gen_rrg_loop(n, d, seed):
+    """Reference pairing model, one pair at a time; gen_rrg must match it byte for byte."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n, d]))
+    while True:
+        stubs = np.repeat(np.arange(n), d)
+        edges = set()
+        while len(stubs):
+            rng.shuffle(stubs)
+            leftovers = []
+            for u, v in zip(stubs[0::2], stubs[1::2]):
+                e = (u, v) if u < v else (v, u)
+                if u == v or e in edges:
+                    leftovers += [u, v]
+                else:
+                    edges.add(e)
+            if len(leftovers) == len(stubs):
+                break
+            stubs = np.array(leftovers, dtype=int)
+        else:
+            return np.array(sorted(edges), dtype=int)
+
+
+@pytest.mark.parametrize("n,d,seed", [
+    (2000, 50, 0), (2000, 50, 19), (500, 20, 77), (120, 6, 17), (200, 8, 42),
+    (60, 20, 0), (60, 20, 7), (60, 20, 13), (12, 9, 3), (4, 3, 5), (2, 1, 0),
+])
+def test_rrg_matches_loop_oracle(n, d, seed):
+    ref = _gen_rrg_loop(n, d, seed)
+    edges = gr.gen_rrg(n, d, seed).edges
+    assert edges.dtype == ref.dtype and np.array_equal(edges, ref)
+
+
 def test_rrg_seed_determinism():
     a = gr.gen_rrg(200, 8, 42)
     b = gr.gen_rrg(200, 8, 42)
@@ -69,13 +101,16 @@ def test_no_self_loops_or_multi_edges():
 
 # -- spectral report -------------------------------------------------------------
 
+def _complete(n):
+    iu, ju = np.triu_indices(n, k=1)
+    return gr.GraphInstance(n=n, edges=np.column_stack([iu, ju]), kind="regular",
+                            d_eff=float(n - 1), seed=0)
+
+
 def test_complete_graph_epsilon():
     # A = J - I, so A - (n-1)P = J/n - I with spectrum {0, -1}: top singular 1
     n = 40
-    iu, ju = np.triu_indices(n, k=1)
-    g = gr.GraphInstance(n=n, edges=np.column_stack([iu, ju]), kind="regular",
-                         d_eff=float(n - 1), seed=0)
-    rep = gr.spectral_report(g)
+    rep = gr.spectral_report(_complete(n))
     assert abs(rep.top_singular - 1.0) < 1e-9
     assert abs(rep.epsilon - 1.0 / (n - 1)) < 1e-10
 
@@ -101,6 +136,11 @@ def test_matvec_symmetry():
     lambda: gr.gen_rrg(500, 20, 11),
     lambda: gr.gen_er(400, 25.0, 13),
     lambda: gr.gen_rrg(120, 6, 17),
+    *[lambda n=n: _complete(n) for n in range(2, 6)],
+    lambda: gr.gen_rrg(4, 1, 0),
+    lambda: gr.gen_rrg(4, 2, 1),
+    lambda: gr.gen_rrg(5, 2, 2),
+    lambda: gr.gen_er(5, 1.5, 3),
 ])
 def test_power_iteration_matches_dense(maker):
     g = maker()
@@ -111,6 +151,17 @@ def test_power_iteration_matches_dense(maker):
     assert rep.residual < 1e-8 * rep.top_singular
 
 
+def test_spectral_report_deterministic():
+    g = gr.gen_rrg(1000, 20, 5)
+    assert gr.spectral_report(g) == gr.spectral_report(g)
+
+
+def test_spectral_no_convergence(monkeypatch):
+    monkeypatch.setattr(gr, "_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        gr.spectral_report(gr.gen_rrg(1000, 20, 5))
+
+
 def test_rrg_epsilon_scale():
     g = gr.gen_rrg(1000, 50, 23)
     rep = gr.spectral_report(g)
@@ -119,12 +170,12 @@ def test_rrg_epsilon_scale():
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = gr.gen_er(50, 6.0, 3)
     path = tmp_path / "g.edges"
-    gr.write_edge_list(g, path)
-    back = gr.read_edge_list(path)
-    assert back.n == g.n and back.kind == g.kind and back.seed == g.seed
-    assert back.d_eff == g.d_eff
-    assert np.array_equal(back.edges, g.edges)
-    first = path.read_text().splitlines()[0].split()
-    assert first[2] == "erdos_renyi"
+    for g in (gr.gen_er(50, 6.0, 3), gr.gen_er(50, 0.0, 3)):
+        gr.write_edge_list(g, path)
+        back = gr.read_edge_list(path)
+        assert back.n == g.n and back.kind == g.kind and back.seed == g.seed
+        assert back.d_eff == g.d_eff
+        assert np.array_equal(back.edges, g.edges)
+        first = path.read_text().splitlines()[0].split()
+        assert first[2] == "erdos_renyi"
