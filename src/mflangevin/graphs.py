@@ -48,11 +48,8 @@ class GraphInstance:
     seed: int
 
     def adjacency(self) -> sparse.csr_matrix:
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        data = np.ones(len(rows))
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        rows, cols = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -100,7 +97,7 @@ def gen_rrg(n: int, d: int, seed: int) -> GraphInstance:
                 break
             keys = np.sort(np.concatenate([keys, round_keys[accept]]))
             stubs = np.column_stack([a[~accept], b[~accept]]).ravel()
-        else:
+        else:  # every stub paired
             arr = np.column_stack([keys // n, keys % n])
             return GraphInstance(n=n, edges=arr, kind="regular", d_eff=float(d), seed=seed)
     raise RestartBudgetExceeded(f"pairing model failed {_RESTART_BUDGET} restarts at n={n}, d={d}")
@@ -154,9 +151,10 @@ def spectral_report(g: GraphInstance) -> SpectralReport:
 
 def write_edge_list(g: GraphInstance, path) -> None:
     """First line `n d_eff kind seed`, then one 0-indexed `i j` pair per line."""
-    body = "".join(f"{i} {j}\n" for i, j in g.edges.tolist())
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.d_eff:.17g} {g.kind} {g.seed}\n{body}")
+        fh.write(f"{g.n} {g.d_eff:.17g} {g.kind} {g.seed}\n")
+        for k in range(0, len(g.edges), 4096):  # blocks bound the text held in memory
+            fh.write("".join(f"{i} {j}\n" for i, j in g.edges[k:k + 4096].tolist()))
 
 
 def read_edge_list(path) -> GraphInstance:
