@@ -385,8 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="INI config file or a previous run's sidecar.json")
-        p.add_argument("--threads", type=int, default=0,
-                       help="cap worker parallelism (modules here run sequentially)")
         for key, (kind, _) in schema.items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:

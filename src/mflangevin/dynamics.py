@@ -435,11 +435,17 @@ def write_samples(samples: np.ndarray, path, *, temperature: float, dt: float,
 def read_samples(path):
     """Inverse of write_samples; returns (samples, meta dict)."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, n, temperature, dt, seed, r, frames = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a sample file")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(r, frames, n)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise OSError(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, n, temperature, dt, seed, r, frames = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise ValueError(f"{path} is not a sample file")
+    expected = _HEADER.size + 8 * r * frames * n
+    if len(raw) != expected:
+        raise OSError(f"{path}: {len(raw)} bytes, but its header (replicas={r}, "
+                      f"frames={frames}, n={n}) implies {expected}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(r, frames, n)
     return data.copy(), {"n": n, "temperature": temperature, "dt": dt,
                          "seed": seed, "replicas": r, "frames": frames}
 

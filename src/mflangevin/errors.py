@@ -28,6 +28,10 @@ class GridFailure(NumericalError):
     """Quadrature grid refinement did not converge within its budget."""
 
 
+class ConsistencyCheckFailed(NumericalError):
+    """A computed result failed an identity it must satisfy."""
+
+
 class GridTooNarrow(PreconditionError):
     """The supplied grid does not contain all stationary points."""
 

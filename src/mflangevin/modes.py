@@ -21,7 +21,6 @@ consumers compare differences.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,13 +29,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    ConsistencyCheckFailed,
     FixedPointDiverged,
     GridExplosion,
     TooManyModes,
     TruncationTooCoarse,
     Unsupported,
 )
-from .quad1d import LineMeasure, PotentialSpec, build_measure
+from .quad1d import LineMeasure, PotentialSpec, build_measure, tilted_weights
 
 __all__ = [
     "Mode",
@@ -306,11 +306,10 @@ def xy_decomposition() -> ModeDecomposition:
 
 # -- effective potential ----------------------------------------------------------
 
-def _base_log_weights(measure: LineMeasure) -> np.ndarray:
-    """log of normalised quadrature masses of the base measure."""
-    g = measure.log_density + np.log(measure.weights)
-    m = np.max(g)
-    return g - (m + np.log(np.sum(np.exp(g - m))))
+def _base_masses(measure: LineMeasure) -> np.ndarray:
+    """Normalised quadrature masses of the untilted base measure."""
+    return tilted_weights([[0.0]], measure.nodes[None, :],
+                          measure.weights, measure.log_density)[1][0]
 
 
 def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
@@ -319,9 +318,8 @@ def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
     measure: entropy + flat-convex interaction - field drive.  The
     self-consistent density minimises this over all densities."""
     zeta = psi.as_vector(decomp)
-    a = np.exp(_base_log_weights(measure))
     nm = decomp.weighted_modes(measure.nodes)
-    p = a * dens
+    p = _base_masses(measure) * dens
     entropy = float(np.sum(p[dens > 0] * np.log(dens[dens > 0])))
     interaction = 0.0
     for m in decomp.pos_modes:
@@ -337,35 +335,29 @@ def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
     by damped fixed-point iteration on the Gibbs update: L1 tolerance 1e-10,
     at most 500 iterations, step 0.5 halved whenever the residual grows."""
     zeta = psi.as_vector(decomp)
-    la = _base_log_weights(measure)
-    nm = decomp.weighted_modes(measure.nodes)
-    tilt = (zeta @ nm) / T if decomp.dim else np.zeros_like(la)
-    a = np.exp(la)
     pos_vals = np.vstack([p(measure.nodes) for p in decomp.pos_modes])
     pos_w = np.array([p.weight for p in decomp.pos_modes])
+    features = np.vstack([decomp.weighted_modes(measure.nodes), pos_vals])
 
-    def gibbs(dens):
-        means = pos_vals @ (a * dens)
-        fld = (pos_w * means) @ pos_vals / T
-        g = tilt - fld
-        g -= np.max(g)
-        new = np.exp(g)
-        return new / float(np.sum(a * new))
+    def gibbs(p):
+        """Normalised masses of the Gibbs update at current masses p."""
+        fields = np.concatenate([zeta, -pos_w * (pos_vals @ p)]) / T
+        return tilted_weights(fields[None, :], features, measure.weights,
+                              measure.log_density)[1][0]
 
-    dens = np.exp(tilt - np.max(tilt))
-    dens /= float(np.sum(a * dens))
+    p = gibbs(np.zeros(len(measure.nodes)))  # the tilt alone, no flat-convex field
     step_size = 0.5
     residual = math.inf
     for _ in range(_FIXED_POINT_MAX_ITER):
-        new = gibbs(dens)
-        new_residual = float(np.sum(a * np.abs(new - dens)))
+        new = gibbs(p)
+        new_residual = float(np.sum(np.abs(new - p)))
         if new_residual < _FIXED_POINT_TOL:
-            return new
+            return new / _base_masses(measure)
         if new_residual > residual:
             step_size = max(step_size / 2.0, 1.0 / 64.0)
         residual = new_residual
-        dens = (1.0 - step_size) * dens + step_size * new
-        dens /= float(np.sum(a * dens))
+        p = (1.0 - step_size) * p + step_size * new
+        p /= float(np.sum(p))
     raise FixedPointDiverged(
         f"self-consistency iteration stalled at L1 residual {residual:.3e}")
 
@@ -381,14 +373,11 @@ def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
-    zeta = psi.as_vector(decomp)
-    la = _base_log_weights(measure)
-    nm = decomp.weighted_modes(measure.nodes)        # (dim, nodes)
-
     if not decomp.pos_modes:
-        g = la + ((zeta @ nm) / T if decomp.dim else 0.0)
-        m = np.max(g)
-        return -(m + math.log(float(np.sum(np.exp(g - m)))))
+        fields = np.vstack([np.zeros(decomp.dim), psi.as_vector(decomp) / T])
+        log_z, _ = tilted_weights(fields, decomp.weighted_modes(measure.nodes),
+                                  measure.weights, measure.log_density)
+        return -float(log_z[1] - log_z[0])
 
     dens = self_consistent_density(psi, T, decomp, measure)
     return bracket_value(dens, psi, T, decomp, measure)
@@ -400,6 +389,27 @@ def v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
     return psi.norm_sq(decomp) / (2.0 * T) + u_limit(psi, T, decomp, measure)
 
 
+# Hessians are built this many grid points at a time, which bounds the
+# scan's memory whatever the number of coordinates.
+_HESSIAN_CHUNK = 512
+
+
+def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
+              measure: LineMeasure) -> np.ndarray:
+    """Hessians (B, dim, dim) of the effective potential at the rows of zetas."""
+    if decomp.pos_modes:
+        raise Unsupported("Hessian closed form requires an empty flat-convex part")
+    nm = decomp.weighted_modes(measure.nodes)                    # (dim, n)
+    _, p = tilted_weights(zetas / T, nm, measure.weights, measure.log_density)
+    centred = nm[None, :, :] - (p @ nm.T)[:, :, None]            # (B, dim, n)
+    cov = (centred * p[:, None, :]) @ centred.transpose(0, 2, 1)
+    hess = np.eye(decomp.dim) / T - cov / T**2
+    asym = float(np.max(np.abs(hess - hess.transpose(0, 2, 1))))
+    if asym > 1e-12:
+        raise ConsistencyCheckFailed(f"Hessian asymmetry {asym:.3e}")
+    return (hess + hess.transpose(0, 2, 1)) / 2.0
+
+
 def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
                      measure: LineMeasure) -> np.ndarray:
     """Hessian of the effective potential in orthonormal coordinates:
@@ -409,24 +419,9 @@ def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
     under the tilted single-particle measure.  Only available without a
     flat-convex part (Unsupported otherwise).
     """
-    if decomp.pos_modes:
-        raise Unsupported("Hessian closed form requires an empty flat-convex part")
     if decomp.dim == 0:
         raise ValueError("decomposition has no modes")
-    zeta = psi.as_vector(decomp)
-    nm = decomp.weighted_modes(measure.nodes)
-    g = _base_log_weights(measure) + (zeta @ nm) / T
-    g -= np.max(g)
-    p = np.exp(g)
-    p /= np.sum(p)
-    mean = nm @ p
-    centred = nm - mean[:, None]
-    cov = (centred * p[None, :]) @ centred.T
-    hess = np.eye(decomp.dim) / T - cov / T**2
-    asym = float(np.max(np.abs(hess - hess.T)))
-    if asym > 1e-12:
-        raise AssertionError(f"Hessian asymmetry {asym:.3e}")
-    return (hess + hess.T) / 2.0
+    return _hessians(psi.as_vector(decomp)[None, :], T, decomp, measure)[0]
 
 
 def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeasure,
@@ -444,20 +439,14 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
     if len(region) != decomp.dim:
         raise ValueError(f"region must give {decomp.dim} axis bounds")
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
-    best = math.inf
-    best_at = None
-    points = []
-    eigs = []
-    for combo in itertools.product(*axes):
-        vec = np.array(combo)
-        fld = ModeField.from_vector(vec, decomp)
-        lam = float(np.linalg.eigvalsh(hessian_v_renorm(fld, T, decomp, measure))[0])
-        points.append(vec)
-        eigs.append(lam)
-        if lam < best:
-            best, best_at = lam, vec
-    return ScanResult(lambda_hat=best, argmin=best_at,
-                      grid_points=np.array(points), min_eigs=np.array(eigs))
+    # rows in itertools.product order: the last coordinate varies fastest
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, decomp.dim)
+    eigs = np.concatenate([
+        np.linalg.eigvalsh(_hessians(points[i:i + _HESSIAN_CHUNK], T, decomp, measure))[:, 0]
+        for i in range(0, len(points), _HESSIAN_CHUNK)])
+    best = int(np.argmin(eigs))
+    return ScanResult(lambda_hat=float(eigs[best]), argmin=points[best],
+                      grid_points=points, min_eigs=eigs)
 
 
 @dataclass(frozen=True)
@@ -492,57 +481,34 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
         raise GridExplosion(f"{m_pts}^{n} tensor points exceed the budget {budget}")
 
     zeta = psi.as_vector(decomp)
-    la = _base_log_weights(measure)
-    nm = decomp.weighted_modes(measure.nodes)        # (dim, M)
+    feats = decomp.weighted_modes(measure.nodes)      # (rows, M)
     if decomp.pos_modes:
         p_mode = decomp.pos_modes[0]
-        pos_row = math.sqrt(p_mode.weight) * p_mode(measure.nodes)
-    else:
-        pos_row = None
+        feats = np.vstack([feats, math.sqrt(p_mode.weight) * p_mode(measure.nodes)])
+        zeta = np.concatenate([zeta, [0.0]])
+    scale = 1.0 / (2.0 * T * n)
+
+    def exponent(sums):
+        """zeta.S/T - |S|^2/(2Tn) for each column S of sums."""
+        return (zeta / T) @ sums - scale * np.einsum("ij,ij->j", sums, sums)
 
     # The exponent splits over head = first particle and tail = the other
     # n-1 particles up to the cross term: with S = head + tail,
-    #   zeta.S/T - |S|^2/(2Tn) = [head part] + [tail part] - head.tail/(Tn).
-    # Precomputing the tail part leaves two fused passes per head chunk.
-    rows = [nm[k] for k in range(nm.shape[0])]
-    if pos_row is not None:
-        rows = rows + [pos_row]
-    zeta_full = np.concatenate([zeta, [0.0]]) if pos_row is not None else zeta
-
-    def part(values_rows, logw_row, axes):
-        """Sum each row (and the log-weights) over a broadcast product of axes."""
-        shape = tuple([m_pts] * axes)
-        sums = [np.zeros(shape) for _ in values_rows]
-        lw = np.zeros(shape)
-        for j in range(axes):
-            sl = [1] * axes
-            sl[j] = m_pts
-            for s, row in zip(sums, values_rows):
-                s += row.reshape(sl)
-            lw += logw_row.reshape(sl)
-        return [s.ravel() for s in sums], lw.ravel()
-
-    tail_sums, tail_lw = part(rows, la, n - 1) if n > 1 else \
-        ([np.zeros(1) for _ in rows], np.zeros(1))
-    scale = 1.0 / (2.0 * T * n)
-    tail_part = tail_lw.copy()
-    for zk, ts in zip(zeta_full, tail_sums):
-        tail_part += (zk / T) * ts - scale * ts * ts
-
-    chunk_logs = []
-    for i0 in range(m_pts):
-        g = tail_part + la[i0]
-        head_bonus = 0.0
-        for zk, ts, row in zip(zeta_full, tail_sums, rows):
-            h = row[i0]
-            head_bonus += (zk / T) * h - scale * h * h
-            g = g - (2.0 * scale * h) * ts
-        g += head_bonus
-        m = float(np.max(g))
-        chunk_logs.append(m + math.log(float(np.sum(np.exp(g - m)))))
-    top = max(chunk_logs)
-    total = top + math.log(sum(math.exp(c - top) for c in chunk_logs))
-    u_n = -total / n
+    #   exponent(S) = exponent(head) + exponent(tail) - head.tail/(Tn),
+    # so each head node sees the tail's product measure tilted by -head/(Tn).
+    tail = np.zeros((len(feats), 1))
+    tail_ld, tail_w = np.zeros(1), np.ones(1)
+    for _ in range(n - 1):
+        tail = (tail[:, :, None] + feats[:, None, :]).reshape(len(feats), -1)
+        tail_ld = (tail_ld[:, None] + measure.log_density[None, :]).ravel()
+        tail_w = (tail_w[:, None] * measure.weights[None, :]).ravel()
+    tail_ld += exponent(tail)
+    tail_log_z = np.array([tilted_weights(-2.0 * scale * feats[None, :, i], tail, tail_w,
+                                          tail_ld)[0][0] for i in range(m_pts)])
+    # row 0: log Z of the base measure; row 1: log of the N-fold integral
+    log_z, _ = tilted_weights([[0.0], [1.0]], (exponent(feats) + tail_log_z)[None, :],
+                              measure.weights, measure.log_density)
+    u_n = -(log_z[1] - n * log_z[0]) / n
     return SmallNResult(n=n, u_n=u_n, u_limiting=u_limit(psi, T, decomp, measure))
 
 
@@ -566,7 +532,7 @@ def xy_check(T: float, radius: float = 6.0, grid: int = 41) -> XYReport:
                                  region=[(-radius, radius)] * 2, grid=grid)
     bound = 1.0 / T - 1.0 / (2.0 * T**2)
     if scan.lambda_hat < bound - 1e-6:
-        raise AssertionError(
+        raise ConsistencyCheckFailed(
             f"scan minimum {scan.lambda_hat:.9f} fell below the closed-form floor {bound:.9f}")
     return XYReport(bound=bound, measured_min_eig=scan.lambda_hat,
                     convex=bool(scan.lambda_hat > 0.0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "TiltMoments",
     "GhsReport",
     "build_measure",
+    "tilted_weights",
     "tilt_moments",
     "expectation",
     "check_ghs",
@@ -111,7 +113,9 @@ class PotentialSpec:
 
     # -- evaluation -----------------------------------------------------------
 
+    @cached_property
     def _spline(self) -> CubicSpline:
+        """Built on first use and kept: a spec's table never changes."""
         return CubicSpline(np.asarray(self.table_nodes), np.asarray(self.table_values))
 
     def value(self, x) -> np.ndarray:
@@ -142,7 +146,7 @@ class PotentialSpec:
         return self._eval_tabulated(x, deriv=1)
 
     def _eval_tabulated(self, x: np.ndarray, deriv: int) -> np.ndarray:
-        sp = self._spline()
+        sp = self._spline
         lo, hi = self.table_nodes[0], self.table_nodes[-1]
         out = np.asarray(sp(x, nu=deriv), dtype=float)
         for bound, mask in ((lo, x < lo), (hi, x > hi)):
@@ -235,23 +239,41 @@ def _circle_grid(points: int):
     return nodes, weights
 
 
-def _raw_moments(nodes, weights, log_density, h: float, max_power: int):
-    """(log_z, mean, central moments) for the tilted density on a fixed grid."""
-    g = h * nodes + log_density
-    m = np.max(g)
-    dens = weights * np.exp(g - m)
-    z = np.sum(dens)
-    log_z = m + np.log(z)
-    p = dens / z
+def _circle_modes(nodes: np.ndarray) -> np.ndarray:
+    """Rows cos(k x), sin(k x) for k = 1, 2, 3: the circle's doubling check."""
+    return np.vstack([f(k * nodes) for k in (1, 2, 3) for f in (np.cos, np.sin)])
+
+
+def tilted_weights(fields: np.ndarray, features: np.ndarray, weights: np.ndarray,
+                   log_density: np.ndarray):
+    """Normalise the tilted measures exp(<field, feature(x)>) alpha(dx) on a grid.
+
+    ``fields`` holds one field per row (B, d); ``features`` holds the d feature
+    functions evaluated at the quadrature nodes (d, n); ``weights`` and
+    ``log_density`` describe alpha on those nodes.  Returns log Z (B,) and the
+    normalised quadrature masses p (B, n).  The exponent is shifted by its
+    row maximum before exponentiation, so no row overflows.
+    """
+    g = np.asarray(fields, dtype=float) @ np.asarray(features, dtype=float)
+    g += log_density
+    m = np.max(g, axis=-1, keepdims=True)
+    g -= m
+    np.exp(g, out=g)
+    g *= weights
+    z = np.sum(g, axis=-1, keepdims=True)
+    g /= z
+    return m[:, 0] + np.log(z[:, 0]), g
+
+
+def _moments(p: np.ndarray, nodes: np.ndarray, max_power: int):
+    """(mean, central moments) from normalised quadrature masses p."""
     mean = float(np.sum(p * nodes))
     d = nodes - mean
-    central = np.empty(max_power + 1)
+    central = np.zeros(max_power + 1)
     central[0] = 1.0
-    if max_power >= 1:
-        central[1] = 0.0
     for k in range(2, max_power + 1):
         central[k] = float(np.sum(p * d**k))
-    return log_z, mean, central
+    return mean, central
 
 
 def _moment_distance(a, b) -> float:
@@ -264,23 +286,6 @@ def _moment_distance(a, b) -> float:
     for k in range(2, len(ca)):
         err = max(err, abs(ca[k] - cb[k]) / max(abs(ca[k]), abs(cb[k]), scale**k))
     return err
-
-
-def _circle_check_vector(nodes, weights, log_density) -> np.ndarray:
-    """log_z plus low Fourier moments; the observables circle consumers query.
-
-    Polynomial moments of the angle are not periodic functions, so they are
-    useless for certifying a trapezoid grid; Fourier modes are.
-    """
-    m = np.max(log_density)
-    dens = weights * np.exp(log_density - m)
-    z = np.sum(dens)
-    p = dens / z
-    out = [m + np.log(z)]
-    for k in (1, 2, 3):
-        out.append(float(np.sum(p * np.cos(k * nodes))))
-        out.append(float(np.sum(p * np.sin(k * nodes))))
-    return np.array(out)
 
 
 # -- domain selection -----------------------------------------------------------
@@ -329,7 +334,10 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
         for _ in range(_MAX_REFINEMENTS):
             nodes, weights = _circle_grid(points)
             log_density = -spec.value(nodes)
-            cur = _circle_check_vector(nodes, weights, log_density)
+            # Fourier moments certify a trapezoid grid; polynomial moments of
+            # the angle are not periodic functions and would not
+            log_z, p = tilted_weights([[0.0]], nodes[None, :], weights, log_density)
+            cur = np.concatenate([log_z, _circle_modes(nodes) @ p[0]])
             if prev is not None and float(np.max(np.abs(cur - prev))) < tol:
                 return LineMeasure(spec, nodes, weights, log_density, (0.0, 2.0 * np.pi),
                                    tol, panels=points, panel_order=1)
@@ -344,7 +352,8 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
     for _ in range(_MAX_REFINEMENTS):
         nodes, weights = _composite_gauss_legendre(lo, hi, panels, order)
         log_density = -spec.value(nodes)
-        cur = _raw_moments(nodes, weights, log_density, 0.0, 4)
+        log_z, p = tilted_weights([[0.0]], nodes[None, :], weights, log_density)
+        cur = (log_z[0], *_moments(p[0], nodes, 4))
         if prev is not None and _moment_distance(prev, cur) < tol:
             return LineMeasure(spec, nodes, weights, log_density, (lo, hi),
                                tol, panels=panels, panel_order=order,
@@ -388,12 +397,11 @@ def tilt_moments(measure: LineMeasure, h: float, max_power: int = 4) -> TiltMome
     """
     h = float(h)
     work = _rebuild_for_tilts(measure, min(h, 0.0), max(h, 0.0))
-    log_z, mean, central = _raw_moments(work.nodes, work.weights, work.log_density,
-                                        h, max(2, max_power))
+    log_z, p = tilted_weights([[h]], work.nodes[None, :], work.weights, work.log_density)
+    mean, central = _moments(p[0], work.nodes, max(2, max_power))
     if central[2] <= 0.0:
         raise GridFailure("tilted variance collapsed; grid cannot resolve the tilt")
-    return TiltMoments(h=h, log_z=log_z, mean=mean, central=central[: max_power + 1]
-                       if max_power >= 2 else central[:3])
+    return TiltMoments(h=h, log_z=log_z[0], mean=mean, central=central)
 
 
 def tilt_table(measure: LineMeasure, hs: np.ndarray):
@@ -405,12 +413,7 @@ def tilt_table(measure: LineMeasure, hs: np.ndarray):
     hs = np.asarray(hs, dtype=float)
     work = _rebuild_for_tilts(measure, float(np.min(hs, initial=0.0)),
                               float(np.max(hs, initial=0.0)))
-    g = hs[:, None] * work.nodes[None, :] + work.log_density[None, :]
-    m = np.max(g, axis=1, keepdims=True)
-    dens = work.weights[None, :] * np.exp(g - m)
-    z = np.sum(dens, axis=1)
-    log_z = m[:, 0] + np.log(z)
-    p = dens / z[:, None]
+    log_z, p = tilted_weights(hs[:, None], work.nodes[None, :], work.weights, work.log_density)
     mean = p @ work.nodes
     var = np.sum(p * (work.nodes[None, :] - mean[:, None]) ** 2, axis=1)
     return log_z, mean, var
@@ -420,9 +423,8 @@ def expectation(measure: LineMeasure, f: Callable[[np.ndarray], np.ndarray],
                 h: float = 0.0) -> float:
     """Expectation of f under the (normalised) tilted measure."""
     work = _rebuild_for_tilts(measure, min(h, 0.0), max(h, 0.0))
-    g = h * work.nodes + work.log_density
-    dens = work.weights * np.exp(g - np.max(g))
-    return float(np.sum(dens * f(work.nodes)) / np.sum(dens))
+    _, p = tilted_weights([[h]], work.nodes[None, :], work.weights, work.log_density)
+    return float(np.sum(p[0] * f(work.nodes)))
 
 
 def check_ghs(spec: PotentialSpec, grid_points: int = 512) -> GhsReport:

@@ -34,7 +34,8 @@ from .errors import (
     NotGHS,
     OutOfRange,
 )
-from .quad1d import LineMeasure, check_ghs, tilt_moments, tilt_table
+from .quad1d import (LineMeasure, _rebuild_for_tilts, check_ghs, tilt_moments, tilt_table,
+                     tilted_weights)
 
 __all__ = [
     "RenormTable",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-12  # two digits below the 1e-10 contract for downstream slack
+_ROOT_RTOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
     for i in crossings:
         minimizers.append(float(brentq(lambda p: _dv_scalar(measure, T, p),
                                        phi[i], phi[i + 1], xtol=_ROOT_TOL,
-                                       rtol=8.0 * np.finfo(float).eps)))
+                                       rtol=_ROOT_RTOL)))
     if not minimizers:
         if dv[0] < -tiny and dv[-1] > tiny:
             # ends enclose roots but the wells are shallower than grid noise
@@ -163,36 +165,57 @@ def magnetization_map(measure: LineMeasure, T: float, phi: float) -> float:
 
 
 _MAX_FIELD_BRACKET = 1e6
-
-
-def _solve_field_for_mean(measure: LineMeasure, T: float, m: float) -> float:
-    """Invert the (strictly increasing) magnetisation map by bracketing."""
-    w = max(4.0 * T, 4.0)
-    while w <= _MAX_FIELD_BRACKET:
-        try:
-            lo, hi = magnetization_map(measure, T, -w), magnetization_map(measure, T, w)
-        except GridFailure:
-            break  # the tilt needed is beyond what the representation resolves
-        if lo < m < hi:
-            return float(brentq(lambda p: magnetization_map(measure, T, p) - m,
-                                -w, w, xtol=_ROOT_TOL, rtol=8.0 * np.finfo(float).eps))
-        w *= 2.0
-    raise OutOfRange(f"magnetisation {m} is outside the attainable range")
+_MAX_NEWTON_STEPS = 200
 
 
 def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> FreeEnergyTable:
     """Coarse-grained free energy on a magnetisation grid, up to a constant.
 
-    For each requested m the conjugate field phi_m with tilted mean m is found
-    by monotone root bracketing (the map is strictly increasing because its
-    derivative is a tilted variance over T), and
+    The conjugate field phi_m with tilted mean m inverts the magnetisation
+    map, which increases strictly with derivative var/T.  A field bracket
+    [-w, w] holding every m is found by doubling; then all m are solved at
+    once by Newton steps on one grid widened for it, bisecting whenever a
+    step would leave a point's bracket.  Then
 
         fhat(m) = v(phi_m) - (phi_m - m)^2 / (2T).
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
     m_grid = np.asarray(m_grid, dtype=float)
-    phis = np.array([_solve_field_for_mean(measure, T, m) for m in m_grid])
+    w, inside = max(4.0 * T, 4.0), np.zeros(m_grid.shape, dtype=bool)
+    while w <= _MAX_FIELD_BRACKET:
+        try:
+            inside = ((magnetization_map(measure, T, -w) < m_grid)
+                      & (m_grid < magnetization_map(measure, T, w)))
+        except GridFailure:
+            break  # the tilt needed is beyond what the representation resolves
+        if np.all(inside):
+            break
+        w *= 2.0
+    if not np.all(inside):
+        raise OutOfRange(f"magnetisation {m_grid[~inside][0]} is outside the attainable range")
+
+    work = _rebuild_for_tilts(measure, -w / T, w / T)
+    lo, hi, phis = np.full(m_grid.shape, -w), np.full(m_grid.shape, w), np.zeros(m_grid.shape)
+    active = np.arange(len(m_grid))
+    for _ in range(_MAX_NEWTON_STEPS):
+        phi = phis[active]
+        _, p = tilted_weights(phi[:, None] / T, work.nodes[None, :], work.weights,
+                              work.log_density)
+        mean = p @ work.nodes
+        var = np.sum(p * (work.nodes[None, :] - mean[:, None]) ** 2, axis=1)
+        excess = mean - m_grid[active]
+        lo[active] = np.where(excess < 0.0, phi, lo[active])
+        hi[active] = np.where(excess > 0.0, phi, hi[active])
+        new = phi - T * excess / var
+        new = np.where((lo[active] < new) & (new < hi[active]), new,
+                       0.5 * (lo[active] + hi[active]))
+        phis[active] = new
+        active = active[np.abs(new - phi) > _ROOT_TOL + _ROOT_RTOL * np.abs(phi)]
+        if active.size == 0:
+            break
+    else:
+        raise GridFailure(f"field inversion did not converge for {active.size} magnetisation(s)")
     log_z, _, _ = tilt_table(measure, phis / T)
     v = phis**2 / (2.0 * T) - log_z
     values = v - (phis - m_grid) ** 2 / (2.0 * T)

@@ -220,6 +220,46 @@ def test_exit_code_io_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["estimate", "plateau-bound"])
+@pytest.mark.parametrize("damage", ["shorter_than_header", "short_payload", "extra_payload"])
+def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
+    from mflangevin import dynamics
+    good = tmp_path / "good.bin"
+    dynamics.write_samples(np.zeros((2, 5, 3)), good, temperature=1.0, dt=1e-3, seed=1)
+    raw = good.read_bytes()
+    data = {"shorter_than_header": b"abc", "short_payload": raw[:-5],
+            "extra_payload": raw + bytes(8)}[damage]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    code = run(command, "--samples", str(path), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("i/o error:") and err.count("\n") == 1
+    assert str(path) in err and str(len(data)) in err
+    assert "Traceback" not in err
+
+
+def test_threads_flag_rejected(tmp_path, capsys):
+    code = run("tc", "--potential", "gaussian", "--threads", "64",
+               "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_xy_check_below_floor_exit_3(tmp_path, capsys, monkeypatch):
+    from mflangevin import modes
+
+    def sunk_scan(T, decomp, measure, region, grid):
+        return modes.ScanResult(lambda_hat=-1.0, argmin=np.zeros(2),
+                                grid_points=np.zeros((1, 2)), min_eigs=np.array([-1.0]))
+
+    monkeypatch.setattr(modes, "strong_convexity_scan", sunk_scan)
+    code = run("xy-check", "--T", "1.0", "--grid", "5", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_writes_stay_inside_out(tmp_path, monkeypatch):
     work = tmp_path / "cwd"
     work.mkdir()

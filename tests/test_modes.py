@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from mflangevin import modes as md
 from mflangevin import renormalized as rn
 from mflangevin.errors import GridExplosion, TooManyModes, TruncationTooCoarse, Unsupported
 from mflangevin.modes import Mode, ModeField
+from mflangevin.quad1d import tilted_weights
 
 
 def i0_series(z, terms=80):
@@ -196,6 +198,44 @@ def test_scan_refuses_many_modes(uniform_circle):
         md.strong_convexity_scan(1.0, d, uniform_circle, [(-1, 1)] * 4, 3)
 
 
+def _scan_loop_oracle(T, decomp, measure, region, grid):
+    """The per-point scan: one Hessian and one eigvalsh per grid point, with
+    the tilted measure normalised through log base masses (test oracle)."""
+    g = measure.log_density + np.log(measure.weights)
+    base = g - (np.max(g) + np.log(np.sum(np.exp(g - np.max(g)))))
+    nm = decomp.weighted_modes(measure.nodes)
+    points, eigs = [], []
+    for combo in itertools.product(*[np.linspace(lo, hi, grid) for lo, hi in region]):
+        zeta = np.array(combo)
+        e = base + (zeta @ nm) / T
+        p = np.exp(e - np.max(e))
+        p /= np.sum(p)
+        centred = nm - (nm @ p)[:, None]
+        hess = np.eye(decomp.dim) / T - (centred * p[None, :]) @ centred.T / T**2
+        points.append(zeta)
+        eigs.append(float(np.linalg.eigvalsh((hess + hess.T) / 2.0)[0]))
+    return np.array(points), np.array(eigs)
+
+
+@pytest.mark.parametrize("case", ["rotor", "quadratic_plus_two_modes"])
+@pytest.mark.parametrize("T", [0.35, 0.51, 1.2])
+def test_scan_matches_loop_oracle(case, T, xy, uniform_circle, quartic1_measure):
+    if case == "rotor":
+        decomp, measure, region, grid = xy, uniform_circle, [(-6, 6)] * 2, 41
+    else:
+        decomp = md.make_decomposition(alpha=0.5, neg=(Mode(0.8, "custom", fn=np.tanh),
+                                                       Mode(0.3, "cos", 1)))
+        measure, region, grid = quartic1_measure, [(-2, 2), (-3, 3), (-1, 1)], 11
+    scan = md.strong_convexity_scan(T, decomp, measure, region, grid)
+    points, eigs = _scan_loop_oracle(T, decomp, measure, region, grid)
+    assert np.array_equal(scan.grid_points, points)
+    assert np.max(np.abs(scan.min_eigs - eigs)) <= 1e-12
+    assert scan.lambda_hat == np.min(scan.min_eigs)
+    assert np.array_equal(scan.argmin, points[int(np.argmin(scan.min_eigs))])
+    one = md.hessian_v_renorm(ModeField.from_vector(points[7], decomp), T, decomp, measure)
+    assert abs(np.linalg.eigvalsh(one)[0] - eigs[7]) <= 1e-12
+
+
 def test_secant_strong_convexity(xy, uniform_circle):
     # lambda-strong convexity from the Hessian scan implies the secant
     # inequality along random segments within the scanned box
@@ -236,7 +276,8 @@ def test_fixed_point_is_minimiser(uniform_circle):
     T = 0.9
     dens = md.self_consistent_density(psi, T, d, uniform_circle)
     base = md.bracket_value(dens, psi, T, d, uniform_circle)
-    a = np.exp(md._base_log_weights(uniform_circle))
+    a = tilted_weights([[0.0]], uniform_circle.nodes[None, :], uniform_circle.weights,
+                       uniform_circle.log_density)[1][0]
     rng = np.random.default_rng(8)
     for _ in range(20):
         eta = rng.standard_normal(len(dens))

@@ -104,21 +104,37 @@ def test_ghs_grid_too_small():
 
 # -- invariants -------------------------------------------------------------------
 
+def _zero_tilt(nodes, weights, log_density):
+    """log Z and normalised masses of the untilted measure on a grid."""
+    log_z, p = quad1d.tilted_weights([[0.0]], nodes[None, :], weights, log_density)
+    return log_z[0], p[0]
+
+
+def _check_moments(nodes, weights, log_density):
+    log_z, p = _zero_tilt(nodes, weights, log_density)
+    return (log_z, *quad1d._moments(p, nodes, 4))
+
+
 @pytest.mark.parametrize("spec", [PotentialSpec.gaussian(1.0), PotentialSpec.quartic(1.0)])
 def test_grid_doubling_stability(spec):
     m = build_measure(spec, 1e-10)
     lo, hi = m.domain_bounds
     nodes, weights = quad1d._composite_gauss_legendre(lo, hi, 2 * m.panels, m.panel_order)
-    fine = quad1d._raw_moments(nodes, weights, -spec.value(nodes), 0.0, 4)
-    coarse = quad1d._raw_moments(m.nodes, m.weights, m.log_density, 0.0, 4)
+    fine = _check_moments(nodes, weights, -spec.value(nodes))
+    coarse = _check_moments(m.nodes, m.weights, m.log_density)
     assert quad1d._moment_distance(coarse, fine) < m.target_tol
 
 
 def test_circle_grid_doubling_stability(uniform_circle):
     m = uniform_circle
+
+    def check_vector(nodes, weights, log_density):
+        log_z, p = _zero_tilt(nodes, weights, log_density)
+        return np.concatenate([[log_z], quad1d._circle_modes(nodes) @ p])
+
     nodes, weights = quad1d._circle_grid(2 * m.panels)
-    fine = quad1d._circle_check_vector(nodes, weights, -m.potential.value(nodes))
-    coarse = quad1d._circle_check_vector(m.nodes, m.weights, m.log_density)
+    fine = check_vector(nodes, weights, -m.potential.value(nodes))
+    coarse = check_vector(m.nodes, m.weights, m.log_density)
     assert float(np.max(np.abs(fine - coarse))) < m.target_tol
 
 

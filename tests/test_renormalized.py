@@ -10,7 +10,7 @@ from mflangevin.errors import (
     NotGHS,
     OutOfRange,
 )
-from mflangevin.quad1d import PotentialSpec, build_measure, tilt_moments
+from mflangevin.quad1d import PotentialSpec, build_measure, tilt_moments, tilt_table
 
 from test_quad1d import QUARTIC0_VARIANCE
 
@@ -152,6 +152,47 @@ def test_minimizer_correspondence(quartic1_measure, quartic1_tc):
         v = fe.values
         interior_minima = np.sum((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
         assert len(t.minimizers) == expected == interior_minima
+
+
+def _brentq_inversion(measure, T, m_grid):
+    """The per-point inversion: bracket by doubling, then brentq on the
+    magnetisation map, one domain widening per evaluation (test oracle)."""
+    from scipy.optimize import brentq
+    phis = []
+    for m in m_grid:
+        w = max(4.0 * T, 4.0)
+        while not (rn.magnetization_map(measure, T, -w) < m < rn.magnetization_map(measure, T, w)):
+            w *= 2.0
+        phis.append(brentq(lambda p: rn.magnetization_map(measure, T, p) - m, -w, w,
+                           xtol=1e-12, rtol=8.0 * np.finfo(float).eps))
+    return np.array(phis)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "quartic"])
+def test_inversion_matches_brentq_oracle(case, gaussian_measure, quartic1_measure,
+                                         quartic1_tc, monkeypatch):
+    if case == "gaussian":
+        measure, T, ms = gaussian_measure, 2.0, np.linspace(-2.0, 2.0, 201)
+    else:
+        measure, T = quartic1_measure, 1.3 * quartic1_tc
+        grid = rn.auto_phi_grid(measure, T, 801)
+        ms = np.linspace(rn.magnetization_map(measure, T, grid[0]),
+                         rn.magnetization_map(measure, T, grid[-1]), 801)
+    tilts = []
+
+    def spy(measure, hs):
+        tilts.append(np.array(hs))
+        return tilt_table(measure, hs)
+
+    monkeypatch.setattr(rn, "tilt_table", spy)
+    fe = rn.coarse_free_energy(measure, T, ms)
+    phis = tilts[-1] * T
+    ref = _brentq_inversion(measure, T, ms)
+    assert np.all(np.abs(phis - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    log_z, _, _ = tilt_table(measure, ref / T)
+    values = ref**2 / (2.0 * T) - log_z - (ref - ms) ** 2 / (2.0 * T)
+    mid = len(ms) // 2
+    assert np.max(np.abs((fe.values - fe.values[mid]) - (values - values[mid]))) < 1e-10
 
 
 def test_out_of_range(gaussian_measure):
