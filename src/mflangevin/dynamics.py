@@ -155,25 +155,78 @@ def _adjacency_operator(g: GraphInstance):
     return a.toarray() if g.n <= 512 else a
 
 
-def _drift_impl(x: np.ndarray, config: SimConfig, adj) -> np.ndarray:
-    out = -config.potential.derivative(x)
+def _potential_gradient(p: PotentialSpec):
+    """V' as a closure with the arithmetic of ``PotentialSpec.derivative``,
+    resolved once per run instead of dispatched on every call; None when V
+    is constant (a circle potential without coefficients)."""
+    if p.kind == "quartic":
+        lam = p.lam
+        return lambda x: x * x * x - lam * x
+    if p.kind == "gaussian":
+        c = p.curvature
+        return lambda x: c * x
+    if p.kind == "periodic_fourier" and not p.coefficients:
+        return None
+    return p.derivative
+
+
+def _drift_fn(config: SimConfig, adj):
+    """Build the drift ``x -> -V'(x) + interaction(x)`` for one run.
+
+    Everything fixed for the run is resolved here: the confinement term, the
+    topology, the constants n*T and T*d_eff, and the signed, weighted mode
+    terms with one cos/sin pair per distinct frequency.  The interaction
+    terms are added to -V'(x) one by one in a fixed order, and the first
+    addition is written ``term - V'(x)``: IEEE subtraction adds the negation,
+    so the bits equal those of ``-V'(x) + term`` without a separate negation
+    (and ``-0 + term`` is ``term``, so a constant V contributes no operation).
+    """
+    grad_v = _potential_gradient(config.potential)
     if config.no_interaction:
+        return lambda x: -config.potential.derivative(x)
+    reduce = np.add.reduce
+    if config.modes is None:  # real line: grad_v is not None
+        if adj is not None:
+            td = config.temperature * config.topology.d_eff
+            return lambda x: (adj @ x.T).T / td - grad_v(x)
+        nt = config.n_particles * config.temperature
+        return lambda x: reduce(x, axis=-1, keepdims=True) / nt - grad_v(x)
+
+    dec = config.modes
+    nt = config.n_particles * config.temperature
+    # (coef, kind, k, mode); k as a float multiplies exactly as the int does
+    terms = [(sign * m.weight, m.kind, float(m.k), m)
+             for sign, group in ((1.0, dec.neg_modes), (-1.0, dec.pos_modes))
+             for m in group]
+    freqs = sorted({k for _, kind, k, _ in terms if kind in ("cos", "sin")})
+    alpha = dec.alpha
+
+    def modes_drift(x):
+        trig = {}
+        for k in freqs:
+            kx = k * x
+            trig[k] = (np.cos(kx), np.sin(kx))
+        parts = []
+        for coef, kind, k, m in terms:
+            if kind == "cos":    # cos(kx), gradient -k sin(kx)
+                c, s = trig[k]
+                value, grad = c, -k * s
+            elif kind == "sin":  # sin(kx), gradient k cos(kx)
+                c, s = trig[k]
+                value, grad = s, k * c
+            else:
+                value, grad = m(x), m.grad(x)
+            parts.append(coef * grad * reduce(value, axis=-1, keepdims=True) / nt)
+        if alpha > 0:
+            parts.append(alpha * reduce(x, axis=-1, keepdims=True) / nt)
+        if not parts:
+            return -config.potential.derivative(x)
+        out = parts[0] if grad_v is None else parts[0] - grad_v(x)
+        for term in parts[1:]:
+            out += term
         return out
-    n = config.n_particles
-    T = config.temperature
-    if config.modes is not None:
-        dec = config.modes
-        for sign, group in ((1.0, dec.neg_modes), (-1.0, dec.pos_modes)):
-            for m in group:
-                total = np.sum(m(x), axis=-1, keepdims=True)
-                out += sign * m.weight * m.grad(x) * total / (n * T)
-        if dec.alpha > 0:
-            out += dec.alpha * np.sum(x, axis=-1, keepdims=True) / (n * T)
-        return out
-    if adj is not None:
-        neigh = (adj @ x.T).T if x.ndim == 2 else adj @ x
-        return out + neigh / (T * config.topology.d_eff)
-    return out + np.sum(x, axis=-1, keepdims=(x.ndim == 2)) / (n * T)
+
+    return modes_drift
 
 
 def drift(state: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -181,7 +234,7 @@ def drift(state: np.ndarray, config: SimConfig) -> np.ndarray:
     x = np.asarray(state, dtype=float)
     adj = _adjacency_operator(config.topology) \
         if isinstance(config.topology, GraphInstance) else None
-    return _drift_impl(x, config, adj)
+    return _drift_fn(config, adj)(x)
 
 
 def _initial_state(config: SimConfig, gens) -> np.ndarray:
@@ -204,23 +257,29 @@ def simulate(config: SimConfig) -> np.ndarray:
     adj = _adjacency_operator(config.topology) \
         if isinstance(config.topology, GraphInstance) else None
 
+    f = _drift_fn(config, adj)
+    dt = config.dt
+    two_pi = 2.0 * np.pi
     k = 0
-    noise = None
+    keep = config.burn_in  # next step whose state is kept
     with np.errstate(over="ignore", invalid="ignore"):  # divergence caught below
-        for step in range(config.n_steps):
-            j = step % _NOISE_BLOCK
-            if j == 0:
-                block = min(_NOISE_BLOCK, config.n_steps - step)
-                noise = np.stack([g.standard_normal((block, config.n_particles))
-                                  for g in gens])
-                if not circle and not np.all(np.abs(x) <= _BLOWUP_LIMIT):
-                    raise NumericalBlowup(f"|x| exceeded {_BLOWUP_LIMIT:g} at step {step}")
-            x = x + config.dt * _drift_impl(x, config, adj) + scale * noise[:, j, :]
-            if circle:
-                x %= 2.0 * np.pi
-            if step >= config.burn_in and (step - config.burn_in) % config.thinning == 0:
-                kept[:, k, :] = x
-                k += 1
+        for start in range(0, config.n_steps, _NOISE_BLOCK):
+            block = min(_NOISE_BLOCK, config.n_steps - start)
+            # (block, replicas, n), row j for step start+j; each replica's
+            # generator draws its own (block, n) slab from its own stream
+            noise = np.stack([g.standard_normal((block, config.n_particles))
+                              for g in gens], axis=1)
+            noise *= scale
+            if not circle and not np.all(np.abs(x) <= _BLOWUP_LIMIT):
+                raise NumericalBlowup(f"|x| exceeded {_BLOWUP_LIMIT:g} at step {start}")
+            for step, z in enumerate(noise, start):
+                x = x + dt * f(x) + z
+                if circle:
+                    x %= two_pi
+                if step == keep:
+                    kept[:, k, :] = x
+                    k += 1
+                    keep += config.thinning
     if not circle and not np.all(np.abs(kept) <= _BLOWUP_LIMIT):
         raise NumericalBlowup("trajectory left the admissible region")
     return kept
@@ -440,7 +499,7 @@ def read_samples(path):
         raise OSError(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
     magic, n, temperature, dt, seed, r, frames = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
-        raise ValueError(f"{path} is not a sample file")
+        raise OSError(f"{path}: {len(raw)} bytes, but no sample-file magic number {_MAGIC!r}")
     expected = _HEADER.size + 8 * r * frames * n
     if len(raw) != expected:
         raise OSError(f"{path}: {len(raw)} bytes, but its header (replicas={r}, "

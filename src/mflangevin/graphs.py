@@ -30,6 +30,7 @@ __all__ = [
 
 _RESTART_BUDGET = 10_000
 _MAX_ITER = 100_000
+_ER_BLOCK = 1 << 20  # candidate pairs per block of rows in gen_er
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,18 @@ def gen_er(n: int, d_mean: float, seed: int) -> GraphInstance:
         raise ValueError("need 0 <= d_mean < n-1")
     p = d_mean / (n - 1) if n > 1 else 0.0
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    edges = np.column_stack([iu[mask], ju[mask]]).astype(int)
+    # Pairs i < j in row-major order, one uniform each, drawn in blocks of
+    # whole rows (at most _ER_BLOCK pairs unless one row is longer): the
+    # blocks' draws concatenate to the stream of a single draw.
+    rows = max(1, _ER_BLOCK // max(n - 1, 1))
+    parts = [np.empty((0, 2), dtype=int)]
+    for first in range(0, n - 1, rows):
+        i = np.arange(first, min(first + rows, n - 1))
+        starts = np.concatenate([[0], np.cumsum(n - 1 - i)])  # offset of each row's first pair
+        hit = np.flatnonzero(rng.random(starts[-1]) < p)
+        row = np.searchsorted(starts, hit, side="right") - 1
+        parts.append(np.column_stack([i[row], hit - starts[row] + i[row] + 1]))
+    edges = np.concatenate(parts).astype(int)
     return GraphInstance(n=n, edges=edges, kind="erdos_renyi", d_eff=float(d_mean), seed=seed)
 
 

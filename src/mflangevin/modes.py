@@ -60,6 +60,7 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 500
 _TENSOR_BUDGET = 400_000_000
+_ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
 
 
 @dataclass(frozen=True)
@@ -431,6 +432,10 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
 
     The scan is exponential in the mode count; decompositions with more than
     three modes (plus the optional quadratic coordinate) are refused.
+    ``lambda_hat`` is the exact minimum; ``argmin`` is the first grid point (in
+    product order, the last coordinate fastest) whose eigenvalue is within
+    1e-12*max(1, |lambda_hat|) of it, so symmetric points that tie up to
+    rounding always report the same one.
     """
     if decomp.dim == 0:
         raise ValueError("decomposition has no modes to scan")
@@ -444,8 +449,9 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
     eigs = np.concatenate([
         np.linalg.eigvalsh(_hessians(points[i:i + _HESSIAN_CHUNK], T, decomp, measure))[:, 0]
         for i in range(0, len(points), _HESSIAN_CHUNK)])
-    best = int(np.argmin(eigs))
-    return ScanResult(lambda_hat=float(eigs[best]), argmin=points[best],
+    lam = float(eigs.min())
+    best = int(np.argmax(eigs <= lam + _ARGMIN_TIE * max(1.0, abs(lam))))
+    return ScanResult(lambda_hat=lam, argmin=points[best],
                       grid_points=points, min_eigs=eigs)
 
 

@@ -221,14 +221,15 @@ def test_exit_code_io_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["estimate", "plateau-bound"])
-@pytest.mark.parametrize("damage", ["shorter_than_header", "short_payload", "extra_payload"])
+@pytest.mark.parametrize("damage", ["shorter_than_header", "short_payload", "extra_payload",
+                                    "bad_magic"])
 def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
     from mflangevin import dynamics
     good = tmp_path / "good.bin"
     dynamics.write_samples(np.zeros((2, 5, 3)), good, temperature=1.0, dt=1e-3, seed=1)
     raw = good.read_bytes()
     data = {"shorter_than_header": b"abc", "short_payload": raw[:-5],
-            "extra_payload": raw + bytes(8)}[damage]
+            "extra_payload": raw + bytes(8), "bad_magic": b"NOTSAMPL" + raw[8:]}[damage]
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
     code = run(command, "--samples", str(path), "--out", str(tmp_path / "o"))

@@ -7,7 +7,7 @@ from mflangevin import dynamics as dy
 from mflangevin import graphs as gr
 from mflangevin import modes as md
 from mflangevin.errors import InsufficientSamples, NumericalBlowup, SingleWellOnly
-from mflangevin.quad1d import PotentialSpec
+from mflangevin.quad1d import CIRCLE, PotentialSpec
 
 
 def gaussian_config(**kw):
@@ -109,6 +109,112 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dy.SimConfig(n_particles=4, temperature=1.0, dt=1e-3, n_steps=10, burn_in=0,
                      seed=1, potential=PotentialSpec.periodic_fourier([]))
+
+
+def _drift_loop(x, config, adj):
+    """Reference drift, dispatched on every call; simulate and drift() must match it bit for bit."""
+    out = -config.potential.derivative(x)
+    if config.no_interaction:
+        return out
+    n = config.n_particles
+    T = config.temperature
+    if config.modes is not None:
+        dec = config.modes
+        for sign, group in ((1.0, dec.neg_modes), (-1.0, dec.pos_modes)):
+            for m in group:
+                total = np.sum(m(x), axis=-1, keepdims=True)
+                out += sign * m.weight * m.grad(x) * total / (n * T)
+        if dec.alpha > 0:
+            out += dec.alpha * np.sum(x, axis=-1, keepdims=True) / (n * T)
+        return out
+    if adj is not None:
+        neigh = (adj @ x.T).T if x.ndim == 2 else adj @ x
+        return out + neigh / (T * config.topology.d_eff)
+    return out + np.sum(x, axis=-1, keepdims=(x.ndim == 2)) / (n * T)
+
+
+def _simulate_loop(config):
+    """Reference Euler-Maruyama loop: one drift dispatch and one strided noise slice per step."""
+    ss = np.random.SeedSequence(config.seed)
+    gens = [np.random.default_rng(c) for c in ss.spawn(config.replicas)]
+    x = dy._initial_state(config, gens)
+    kept = np.empty((config.replicas, config.n_kept, config.n_particles))
+    scale = np.sqrt(2.0 * config.dt)
+    circle = config.potential.domain == CIRCLE
+    adj = dy._adjacency_operator(config.topology) \
+        if isinstance(config.topology, gr.GraphInstance) else None
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.n_steps):
+            j = step % 512
+            if j == 0:
+                block = min(512, config.n_steps - step)
+                noise = np.stack([g.standard_normal((block, config.n_particles))
+                                  for g in gens])
+            x = x + config.dt * _drift_loop(x, config, adj) + scale * noise[:, j, :]
+            if circle:
+                x %= 2.0 * np.pi
+            if step >= config.burn_in and (step - config.burn_in) % config.thinning == 0:
+                kept[:, k, :] = x
+                k += 1
+    return kept
+
+
+def _oracle_configs():
+    quartic = PotentialSpec.quartic(1.0)
+    xs = np.linspace(-1.2, 1.2, 25)
+    table = PotentialSpec.tabulated(xs, xs**4 / 4.0 - xs**2 / 2.0)
+    flat = PotentialSpec.periodic_fourier([])
+    tanh = md.Mode(weight=0.15, kind="custom", fn=np.tanh,
+                   dfn=lambda x: 1.0 - np.tanh(x) ** 2)
+    mixed = md.make_decomposition(
+        alpha=0.2,
+        neg=[md.Mode(0.4, "cos", 1), md.Mode(0.4, "sin", 1), md.Mode(0.3, "cos", 2), tanh],
+        pos=[md.Mode(0.25, "sin", 2), md.Mode(0.1, "cos", 0),
+             md.Mode(0.1, "custom", fn=np.sin)])  # finite-difference gradient
+    base = dict(temperature=1.1, dt=1e-3, n_steps=1100, burn_in=37, seed=5, thinning=7)
+
+    def cfg(**kw):
+        return dy.SimConfig(**{**base, **kw})
+
+    return {
+        "quartic_r8": cfg(n_particles=30, replicas=8, potential=quartic),
+        "gaussian_r1": cfg(n_particles=30, replicas=1, potential=PotentialSpec.gaussian(1.0)),
+        "tabulated_outside": cfg(n_particles=20, replicas=3, temperature=1.5, potential=table),
+        "xy": cfg(n_particles=25, replicas=4, potential=flat, modes=md.xy_decomposition()),
+        "circle_fourier": cfg(n_particles=25, replicas=2, thinning=1,
+                              potential=PotentialSpec.periodic_fourier([0.4, -0.3]),
+                              modes=md.xy_decomposition()),
+        "mixed_modes": cfg(n_particles=20, replicas=3, potential=quartic, modes=mixed),
+        "no_interaction": cfg(n_particles=20, replicas=2, potential=quartic,
+                              no_interaction=True),
+        "rrg_dense": cfg(n_particles=120, replicas=3, potential=quartic,
+                         topology=gr.gen_rrg(120, 6, 17)),
+        "rrg_sparse": cfg(n_particles=600, replicas=2, n_steps=700, thinning=1,
+                          potential=quartic, topology=gr.gen_rrg(600, 8, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_configs()))
+def test_simulate_matches_loop_oracle(name):
+    config = _oracle_configs()[name]
+    out = dy.simulate(config)
+    ref = _simulate_loop(config)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # drift() on (replicas, n) and (n,) states, off the trajectory and, on the
+    # real line, partly outside any table
+    rng = np.random.default_rng(11)
+    shape = (config.replicas, config.n_particles)
+    if config.potential.domain == CIRCLE:
+        x = rng.uniform(0.0, 2.0 * np.pi, shape)
+    else:
+        x = 1.5 * rng.standard_normal(shape)
+    adj = dy._adjacency_operator(config.topology) \
+        if isinstance(config.topology, gr.GraphInstance) else None
+    for state in (x, x[0], out[:, -1, :]):
+        got = dy.drift(state, config)
+        want = _drift_loop(state, config, adj)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- susceptibility --------------------------------------------------------------------

@@ -87,6 +87,25 @@ def test_er_empty_and_mean():
     assert abs(len(g.edges) - mean) < 4.0 * sd
 
 
+def _gen_er_triu(n, d_mean, seed):
+    """Reference ER draw over all n(n-1)/2 pairs at once; gen_er must match it byte for byte."""
+    p = d_mean / (n - 1) if n > 1 else 0.0
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    return np.column_stack([iu[mask], ju[mask]]).astype(int)
+
+
+@pytest.mark.parametrize("n,d,seed", [(2000, 60.0, s) for s in range(20)] + [
+    (500, 25.0, 78), (3000, 4.0, 5), (2, 0.5, 1), (2, 0.0, 0), (1, 0.0, 0),
+])
+def test_er_matches_triu_oracle(n, d, seed):
+    ref = _gen_er_triu(n, d, seed)
+    edges = gr.gen_er(n, d, seed).edges
+    assert edges.shape == ref.shape and edges.dtype == ref.dtype
+    assert np.array_equal(edges, ref)
+
+
 def test_er_seed_determinism():
     a = gr.gen_er(500, 10.0, 7)
     b = gr.gen_er(500, 10.0, 7)

@@ -231,9 +231,25 @@ def test_scan_matches_loop_oracle(case, T, xy, uniform_circle, quartic1_measure)
     assert np.array_equal(scan.grid_points, points)
     assert np.max(np.abs(scan.min_eigs - eigs)) <= 1e-12
     assert scan.lambda_hat == np.min(scan.min_eigs)
-    assert np.array_equal(scan.argmin, points[int(np.argmin(scan.min_eigs))])
+    tied = scan.min_eigs <= scan.lambda_hat + 1e-12 * max(1.0, abs(scan.lambda_hat))
+    assert np.array_equal(scan.argmin, points[int(np.argmax(tied))])
     one = md.hessian_v_renorm(ModeField.from_vector(points[7], decomp), T, decomp, measure)
     assert abs(np.linalg.eigvalsh(one)[0] - eigs[7]) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [20, 40])
+@pytest.mark.parametrize("T", [0.35, 0.51, 1.2])
+def test_scan_argmin_first_of_ties(T, grid, xy, uniform_circle):
+    # on an even grid the four points nearest the origin tie up to rounding;
+    # argmin is the first of them in product order, lambda_hat the exact minimum
+    scan = md.strong_convexity_scan(T, xy, uniform_circle, [(-6, 6)] * 2, grid)
+    lam = scan.lambda_hat
+    assert lam == np.min(scan.min_eigs)
+    tied = scan.min_eigs <= lam + 1e-12 * max(1.0, abs(lam))
+    assert np.sum(tied) == 4
+    h = np.linspace(-6.0, 6.0, grid)[grid // 2 - 1]
+    assert np.array_equal(scan.argmin, [h, h])
+    assert np.array_equal(scan.argmin, scan.grid_points[int(np.argmax(tied))])
 
 
 def test_secant_strong_convexity(xy, uniform_circle):
