@@ -155,73 +155,38 @@ def _adjacency_operator(g: GraphInstance):
     return a.toarray() if g.n <= 512 else a
 
 
-def _potential_gradient(p: PotentialSpec):
-    """V' as a closure with the arithmetic of ``PotentialSpec.derivative``,
-    resolved once per run instead of dispatched on every call; None when V
-    is constant (a circle potential without coefficients)."""
-    if p.kind == "quartic":
-        lam = p.lam
-        return lambda x: x * x * x - lam * x
-    if p.kind == "gaussian":
-        c = p.curvature
-        return lambda x: c * x
-    if p.kind == "periodic_fourier" and not p.coefficients:
-        return None
-    return p.derivative
-
-
 def _drift_fn(config: SimConfig, adj):
     """Build the drift ``x -> -V'(x) + interaction(x)`` for one run.
 
-    Everything fixed for the run is resolved here: the confinement term, the
-    topology, the constants n*T and T*d_eff, and the signed, weighted mode
-    terms with one cos/sin pair per distinct frequency.  The interaction
-    terms are added to -V'(x) one by one in a fixed order, and the first
-    addition is written ``term - V'(x)``: IEEE subtraction adds the negation,
-    so the bits equal those of ``-V'(x) + term`` without a separate negation
-    (and ``-0 + term`` is ``term``, so a constant V contributes no operation).
+    Everything fixed for the run is resolved here: the topology, the
+    constants n*T and T*d_eff, and the mode decomposition, whose terms share
+    one cos/sin pair per distinct frequency.  The interaction terms are added
+    to -V'(x) one by one in a fixed order, and the first addition is written
+    ``term - V'(x)``: IEEE subtraction adds the negation, so the bits equal
+    those of ``-V'(x) + term`` without a separate negation.
     """
-    grad_v = _potential_gradient(config.potential)
+    grad_v = config.potential.derivative
     if config.no_interaction:
-        return lambda x: -config.potential.derivative(x)
+        return lambda x: -grad_v(x)
     reduce = np.add.reduce
-    if config.modes is None:  # real line: grad_v is not None
+    nt = config.n_particles * config.temperature
+    if config.modes is None:
         if adj is not None:
             td = config.temperature * config.topology.d_eff
             return lambda x: (adj @ x.T).T / td - grad_v(x)
-        nt = config.n_particles * config.temperature
         return lambda x: reduce(x, axis=-1, keepdims=True) / nt - grad_v(x)
 
     dec = config.modes
-    nt = config.n_particles * config.temperature
-    # (coef, kind, k, mode); k as a float multiplies exactly as the int does
-    terms = [(sign * m.weight, m.kind, float(m.k), m)
-             for sign, group in ((1.0, dec.neg_modes), (-1.0, dec.pos_modes))
-             for m in group]
-    freqs = sorted({k for _, kind, k, _ in terms if kind in ("cos", "sin")})
     alpha = dec.alpha
 
     def modes_drift(x):
-        trig = {}
-        for k in freqs:
-            kx = k * x
-            trig[k] = (np.cos(kx), np.sin(kx))
-        parts = []
-        for coef, kind, k, m in terms:
-            if kind == "cos":    # cos(kx), gradient -k sin(kx)
-                c, s = trig[k]
-                value, grad = c, -k * s
-            elif kind == "sin":  # sin(kx), gradient k cos(kx)
-                c, s = trig[k]
-                value, grad = s, k * c
-            else:
-                value, grad = m(x), m.grad(x)
-            parts.append(coef * grad * reduce(value, axis=-1, keepdims=True) / nt)
+        parts = [coef * grad * reduce(value, axis=-1, keepdims=True) / nt
+                 for coef, value, grad in dec.signed_terms(x)]
         if alpha > 0:
             parts.append(alpha * reduce(x, axis=-1, keepdims=True) / nt)
         if not parts:
-            return -config.potential.derivative(x)
-        out = parts[0] if grad_v is None else parts[0] - grad_v(x)
+            return -grad_v(x)
+        out = parts[0] - grad_v(x)
         for term in parts[1:]:
             out += term
         return out

@@ -87,14 +87,29 @@ class Mode:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "cos":
-            return -self.k * np.sin(self.k * x)
-        if self.kind == "sin":
-            return self.k * np.cos(self.k * x)
+        if self.kind in ("cos", "sin"):
+            return self.value_grad(x)[1]
         if self.dfn is not None:
             return self.dfn(x)
         eps = 1e-6
         return (self.fn(x + eps) - self.fn(x - eps)) / (2.0 * eps)
+
+    def value_grad(self, x: np.ndarray, trig: dict | None = None):
+        """Value and gradient at x.  ``trig`` maps a frequency k to the pair
+        (cos(kx), sin(kx)) and is filled on first use, so Fourier modes of one
+        frequency share a single pair of trig evaluations."""
+        x = np.asarray(x, dtype=float)
+        if self.kind not in ("cos", "sin"):
+            return self(x), self.grad(x)
+        if trig is None:
+            trig = {}
+        if self.k not in trig:
+            kx = self.k * x
+            trig[self.k] = (np.cos(kx), np.sin(kx))
+        c, s = trig[self.k]
+        if self.kind == "cos":
+            return c, -self.k * s
+        return s, self.k * c
 
     def sup_grad(self) -> float:
         if self.kind in ("cos", "sin"):
@@ -135,6 +150,15 @@ class ModeDecomposition:
         for m in self.neg_modes:
             rows.append(math.sqrt(m.weight) * m(x))
         return np.vstack(rows) if rows else np.empty((0, len(x)))
+
+    def signed_terms(self, x: np.ndarray) -> list:
+        """(c, n(x), n'(x)) for every mode, c = +w on the negative part and
+        -w on the positive part, negative part first; modes of one frequency
+        share one cos/sin evaluation."""
+        trig = {}
+        return [(sign * m.weight, *m.value_grad(x, trig))
+                for sign, group in ((1.0, self.neg_modes), (-1.0, self.pos_modes))
+                for m in group]
 
     def reconstruction(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel value sum_neg w n(x)n(y) - sum_pos w p(x)p(y) (+ alpha x y)."""

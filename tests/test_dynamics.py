@@ -111,6 +111,15 @@ def test_config_validation():
                      seed=1, potential=PotentialSpec.periodic_fourier([]))
 
 
+def _mode_grad(m, x):
+    """Mode gradient evaluated on its own, without a shared cos/sin pair."""
+    if m.kind == "cos":
+        return -m.k * np.sin(m.k * x)
+    if m.kind == "sin":
+        return m.k * np.cos(m.k * x)
+    return m.grad(x)
+
+
 def _drift_loop(x, config, adj):
     """Reference drift, dispatched on every call; simulate and drift() must match it bit for bit."""
     out = -config.potential.derivative(x)
@@ -123,7 +132,7 @@ def _drift_loop(x, config, adj):
         for sign, group in ((1.0, dec.neg_modes), (-1.0, dec.pos_modes)):
             for m in group:
                 total = np.sum(m(x), axis=-1, keepdims=True)
-                out += sign * m.weight * m.grad(x) * total / (n * T)
+                out += sign * m.weight * _mode_grad(m, x) * total / (n * T)
         if dec.alpha > 0:
             out += dec.alpha * np.sum(x, axis=-1, keepdims=True) / (n * T)
         return out
@@ -185,6 +194,12 @@ def _oracle_configs():
         "circle_fourier": cfg(n_particles=25, replicas=2, thinning=1,
                               potential=PotentialSpec.periodic_fourier([0.4, -0.3]),
                               modes=md.xy_decomposition()),
+        # a flat circle whose only term is a k=0 mode (zero gradient, whose
+        # sign must survive) or the quadratic part, an (R, 1) column
+        "flat_k0": cfg(n_particles=10, replicas=2, potential=flat,
+                       modes=md.make_decomposition(neg=[md.Mode(0.3, "cos", 0)])),
+        "flat_alpha_only": cfg(n_particles=10, replicas=2, potential=flat,
+                               modes=md.make_decomposition(alpha=0.3)),
         "mixed_modes": cfg(n_particles=20, replicas=3, potential=quartic, modes=mixed),
         "no_interaction": cfg(n_particles=20, replicas=2, potential=quartic,
                               no_interaction=True),
