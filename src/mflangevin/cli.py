@@ -76,16 +76,13 @@ def _resolve_config(command: str, schema: dict, args: argparse.Namespace) -> dic
 
 
 def _write_sidecar(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
-    sidecar = {
+    _write_json(out_dir / "sidecar.json", {
         "version": __version__,
         "command": command,
         "config": config,
         "seed": config.get("seed"),
         "outputs": outputs,
-    }
-    with open(out_dir / "sidecar.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -131,8 +128,7 @@ _POTENTIAL_SCHEMA = {
 # -- subcommand handlers --------------------------------------------------------------
 
 def _cmd_tc(config, out_dir):
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     t_c = renormalized.critical_temperature(measure)
     _write_json(out_dir / "tc.json", {"t_critical": t_c, "potential": config["potential"]})
     print(f"T_c = {t_c:.6g}")
@@ -140,8 +136,7 @@ def _cmd_tc(config, out_dir):
 
 
 def _cmd_scan_vt(config, out_dir):
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     T = config["T"]
     if config["phi_max"] > 0:
         grid = np.linspace(-config["phi_max"], config["phi_max"], config["points"])
@@ -155,8 +150,7 @@ def _cmd_scan_vt(config, out_dir):
 
 
 def _cmd_free_energy(config, out_dir):
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     T = config["T"]
     m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
     table = renormalized.coarse_free_energy(measure, T, m_grid)
@@ -168,8 +162,7 @@ def _cmd_free_energy(config, out_dir):
 
 
 def _cmd_pl(config, out_dir):
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     T = config["T"]
     m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
     table = renormalized.coarse_free_energy(measure, T, m_grid)
@@ -195,8 +188,7 @@ def _cmd_modes_decompose(config, out_dir):
 
 def _cmd_scan_convexity(config, out_dir):
     decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     region = [(-config["radius"], config["radius"])] * decomp.dim
     scan = modes.strong_convexity_scan(config["T"], decomp, measure, region, config["grid"])
     header = [f"zeta_{k + 1}" for k in range(decomp.dim)] + ["min_eig"]
@@ -224,8 +216,7 @@ def _cmd_un_gap(config, out_dir):
         decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
     else:
         decomp = modes.xy_decomposition()
-    spec = _potential_from_config(config)
-    measure = quad1d.build_measure(spec, config["tol"])
+    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
     psi = modes.ModeField.from_vector(config["psi"], decomp)
     rows = []
     for n in config["n_values"]:

@@ -155,10 +155,10 @@ def _adjacency_operator(g: GraphInstance):
     return a.toarray() if g.n <= 512 else a
 
 
-def _drift_fn(config: SimConfig, adj):
+def _drift_fn(config: SimConfig):
     """Build the drift ``x -> -V'(x) + interaction(x)`` for one run.
 
-    Everything fixed for the run is resolved here: the topology, the
+    Everything fixed for the run is resolved here: the adjacency operator, the
     constants n*T and T*d_eff, and the mode decomposition, whose terms share
     one cos/sin pair per distinct frequency.  The interaction terms are added
     to -V'(x) one by one in a fixed order, and the first addition is written
@@ -171,7 +171,8 @@ def _drift_fn(config: SimConfig, adj):
     reduce = np.add.reduce
     nt = config.n_particles * config.temperature
     if config.modes is None:
-        if adj is not None:
+        if isinstance(config.topology, GraphInstance):
+            adj = _adjacency_operator(config.topology)
             td = config.temperature * config.topology.d_eff
             return lambda x: (adj @ x.T).T / td - grad_v(x)
         return lambda x: reduce(x, axis=-1, keepdims=True) / nt - grad_v(x)
@@ -196,10 +197,7 @@ def _drift_fn(config: SimConfig, adj):
 
 def drift(state: np.ndarray, config: SimConfig) -> np.ndarray:
     """Drift field of the system; accepts (n,) or (replicas, n) states."""
-    x = np.asarray(state, dtype=float)
-    adj = _adjacency_operator(config.topology) \
-        if isinstance(config.topology, GraphInstance) else None
-    return _drift_fn(config, adj)(x)
+    return _drift_fn(config)(np.asarray(state, dtype=float))
 
 
 def _initial_state(config: SimConfig, gens) -> np.ndarray:
@@ -219,10 +217,7 @@ def simulate(config: SimConfig) -> np.ndarray:
     kept = np.empty((config.replicas, config.n_kept, config.n_particles))
     scale = np.sqrt(2.0 * config.dt)
     circle = config.potential.domain == CIRCLE
-    adj = _adjacency_operator(config.topology) \
-        if isinstance(config.topology, GraphInstance) else None
-
-    f = _drift_fn(config, adj)
+    f = _drift_fn(config)
     dt = config.dt
     two_pi = 2.0 * np.pi
     k = 0

@@ -73,7 +73,7 @@ class TooManyModes(PreconditionError):
 
 
 class GridExplosion(PreconditionError):
-    """Tensor quadrature would exceed the configured point budget."""
+    """The finite-N contraction would allocate an array past its size limit."""
 
 
 # -- graphs -------------------------------------------------------------------

@@ -21,6 +21,7 @@ consumers compare differences.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ __all__ = [
 
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 500
-_TENSOR_BUDGET = 400_000_000
+_TENSOR_BUDGET = 2**25  # entries of the largest un_small_n array: 256 MiB of float64
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
 
 
@@ -493,63 +494,58 @@ class SmallNResult:
 
 
 def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
-               measure: LineMeasure, n: int,
-               budget: int = _TENSOR_BUDGET) -> SmallNResult:
-    """Finite-N counterpart of the limiting potential by tensor quadrature:
+               measure: LineMeasure, n: int) -> SmallNResult:
+    """Finite-N counterpart of the limiting potential:
 
         -(1/N) log E[ exp( (psi, S)_H/T - |S|_H^2/(2TN) - W+ sum/(2TN) ) ],
 
     with S = sum_i n(x_i) and the expectation over the N-fold product of the
     base measure.  Same additive-constant normalisation as ``u_limit``.
+    Expanding |S|^2 gives a complete-graph pair model: site masses h tilted by
+    zeta.f/T - |f|^2/(2TN) and the kernel K = exp(-f_a.f_b/(TN) - shift), shifted
+    to a maximum of 1, so log Z_N = N log Z_h + log E + N(N-1)/2 shift with E the
+    h-expectation of the product of K over all pairs.
     """
     if not (1 <= n <= 4):
-        raise ValueError("tensor quadrature supports 1 <= N <= 4")
+        raise ValueError("the pair contraction supports 1 <= N <= 4")
     if len(decomp.pos_modes) > 1:
         raise Unsupported("at most one flat-convex mode is supported")
     m_pts = len(measure.nodes)
-    if m_pts**n > budget:
-        raise GridExplosion(f"{m_pts}^{n} tensor points exceed the budget {budget}")
+    size = m_pts ** (1, 2, 2, 3)[n - 1]  # entries of the largest array allocated below
+    if size > _TENSOR_BUDGET:
+        raise GridExplosion(f"N={n} on {m_pts} nodes needs {size} entries > {_TENSOR_BUDGET}")
 
-    zeta = psi.as_vector(decomp)
-    feats = decomp.weighted_modes(measure.nodes)      # (rows, M)
-    if decomp.pos_modes:
-        p_mode = decomp.pos_modes[0]
-        feats = np.vstack([feats, math.sqrt(p_mode.weight) * p_mode(measure.nodes)])
-        zeta = np.concatenate([zeta, [0.0]])
-    scale = 1.0 / (2.0 * T * n)
-
-    def exponent(sums):
-        """zeta.S/T - |S|^2/(2Tn) for each column S of sums."""
-        return (zeta / T) @ sums - scale * np.einsum("ij,ij->j", sums, sums)
-
-    # The exponent splits over head = first particle and tail = the other
-    # n-1 particles up to the cross term: with S = head + tail,
-    #   exponent(S) = exponent(head) + exponent(tail) - head.tail/(Tn),
-    # so each head node sees the tail's product measure tilted by -head/(Tn).
-    tail = np.zeros((len(feats), 1))
-    tail_ld, tail_w = np.zeros(1), np.ones(1)
-    for _ in range(n - 1):
-        tail = (tail[:, :, None] + feats[:, None, :]).reshape(len(feats), -1)
-        tail_ld = (tail_ld[:, None] + measure.log_density[None, :]).ravel()
-        tail_w = (tail_w[:, None] * measure.weights[None, :]).ravel()
-    tail_ld += exponent(tail)
-    tail_log_z = np.array([tilted_weights(-2.0 * scale * feats[None, :, i], tail, tail_w,
-                                          tail_ld)[0][0] for i in range(m_pts)])
-    # row 0: log Z of the base measure; row 1: log of the N-fold integral
-    log_z, _ = tilted_weights([[0.0], [1.0]], (exponent(feats) + tail_log_z)[None, :],
+    # the flat-convex mode is one more feature row, with no field on it
+    feats = np.vstack([decomp.weighted_modes(measure.nodes)]
+                      + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
+    zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
+    # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
+    log_z, p = tilted_weights([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))],
+                              np.vstack([feats, np.einsum("ij,ij->j", feats, feats)]),
                               measure.weights, measure.log_density)
-    u_n = -(log_z[1] - n * log_z[0]) / n
+    u_n = -(log_z[1] - log_z[0])
+    if n > 1:
+        h, k = p[1], feats.T @ feats
+        k /= -T * n
+        shift = float(np.max(k))
+        k -= shift
+        np.exp(k, out=k)
+        if n == 2:
+            e = h @ k @ h
+        elif n == 3:
+            e = h @ (k * ((k * h) @ k)) @ h
+        else:  # A_(ab),c = h_c K_ac K_bc; E = sum_ab h_a h_b K_ab rowsum((A K) o A)_ab
+            a = (h * k[:, None, :] * k[None, :, :]).reshape(-1, m_pts)
+            e = (h[:, None] * k * h).ravel() @ np.einsum("ij,ij->i", a @ k, a)
+        if not e > np.finfo(float).tiny:
+            raise ConsistencyCheckFailed(f"pair-kernel expectation {e:.3e} underflowed")
+        u_n -= (math.log(e) + n * (n - 1) / 2.0 * shift) / n
     return SmallNResult(n=n, u_n=u_n, u_limiting=u_limit(psi, T, decomp, measure))
 
 
-_XY_MEASURE: LineMeasure | None = None
-
-
+@functools.cache
 def _xy_measure() -> LineMeasure:
-    global _XY_MEASURE
-    if _XY_MEASURE is None:
-        _XY_MEASURE = build_measure(PotentialSpec.periodic_fourier([]), 1e-10)
-    return _XY_MEASURE
+    return build_measure(PotentialSpec.periodic_fourier([]), 1e-10)
 
 
 def xy_check(T: float, radius: float = 6.0, grid: int = 41) -> XYReport:

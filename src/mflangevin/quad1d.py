@@ -145,15 +145,17 @@ class PotentialSpec:
             return out
         return self._eval_tabulated(x, deriv=1)
 
+    @cached_property
+    def _table_ends(self) -> tuple:
+        """(bound, V, V', V'') at both ends of the table, kept like the spline."""
+        return tuple((b, *(float(self._spline(b, nu=k)) for k in range(3)))
+                     for b in (self.table_nodes[0], self.table_nodes[-1]))
+
     def _eval_tabulated(self, x: np.ndarray, deriv: int) -> np.ndarray:
-        sp = self._spline
-        lo, hi = self.table_nodes[0], self.table_nodes[-1]
-        out = np.asarray(sp(x, nu=deriv), dtype=float)
-        for bound, mask in ((lo, x < lo), (hi, x > hi)):
+        out = np.asarray(self._spline(x, nu=deriv), dtype=float)
+        ends = self._table_ends
+        for (bound, v0, v1, v2), mask in zip(ends, (x < ends[0][0], x > ends[1][0])):
             if np.any(mask):
-                v0 = float(sp(bound))
-                v1 = float(sp(bound, nu=1))
-                v2 = float(sp(bound, nu=2))
                 t = x[mask] - bound
                 if deriv == 0:
                     out[mask] = v0 + v1 * t + 0.5 * v2 * t**2
@@ -274,6 +276,12 @@ def _moments(p: np.ndarray, nodes: np.ndarray, max_power: int):
     for k in range(2, max_power + 1):
         central[k] = float(np.sum(p * d**k))
     return mean, central
+
+
+def _mean_var(p: np.ndarray, nodes: np.ndarray):
+    """Means and variances (B,) of the rows of normalised masses p (B, n)."""
+    mean = p @ nodes
+    return mean, np.sum(p * (nodes[None, :] - mean[:, None]) ** 2, axis=1)
 
 
 def _moment_distance(a, b) -> float:
@@ -414,9 +422,7 @@ def tilt_table(measure: LineMeasure, hs: np.ndarray):
     work = _rebuild_for_tilts(measure, float(np.min(hs, initial=0.0)),
                               float(np.max(hs, initial=0.0)))
     log_z, p = tilted_weights(hs[:, None], work.nodes[None, :], work.weights, work.log_density)
-    mean = p @ work.nodes
-    var = np.sum(p * (work.nodes[None, :] - mean[:, None]) ** 2, axis=1)
-    return log_z, mean, var
+    return (log_z, *_mean_var(p, work.nodes))
 
 
 def expectation(measure: LineMeasure, f: Callable[[np.ndarray], np.ndarray],

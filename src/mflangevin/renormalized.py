@@ -30,12 +30,13 @@ from .errors import (
     GridFailure,
     GridTooNarrow,
     MultipleMinima,
+    NonNormalizable,
     NonPositiveCurvature,
     NotGHS,
     OutOfRange,
 )
-from .quad1d import (LineMeasure, _rebuild_for_tilts, check_ghs, tilt_moments, tilt_table,
-                     tilted_weights)
+from .quad1d import (CIRCLE, LineMeasure, _find_bounds, _mean_var, _rebuild_for_tilts,
+                     check_ghs, tilt_moments, tilt_table, tilted_weights)
 
 __all__ = [
     "RenormTable",
@@ -182,6 +183,17 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
     if T <= 0:
         raise ValueError("temperature must be positive")
     m_grid = np.asarray(m_grid, dtype=float)
+    # no mean the search reaches lies outside the domain its largest tilts need
+    m_lo, m_hi = measure.domain_bounds
+    if measure.domain != CIRCLE:
+        try:
+            far = _find_bounds(measure.potential, -_MAX_FIELD_BRACKET / T, _MAX_FIELD_BRACKET / T)
+            m_lo, m_hi = min(m_lo, far[0]), max(m_hi, far[1])
+        except NonNormalizable:  # smaller tilts may still resolve: the search decides
+            m_lo, m_hi = -np.inf, np.inf
+    beyond = (m_grid <= m_lo) | (m_grid >= m_hi)
+    if np.any(beyond):
+        raise OutOfRange(f"magnetisation {m_grid[beyond][0]} is outside the attainable range")
     w, inside = max(4.0 * T, 4.0), np.zeros(m_grid.shape, dtype=bool)
     while w <= _MAX_FIELD_BRACKET:
         try:
@@ -202,8 +214,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
         phi = phis[active]
         _, p = tilted_weights(phi[:, None] / T, work.nodes[None, :], work.weights,
                               work.log_density)
-        mean = p @ work.nodes
-        var = np.sum(p * (work.nodes[None, :] - mean[:, None]) ** 2, axis=1)
+        mean, var = _mean_var(p, work.nodes)
         excess = mean - m_grid[active]
         lo[active] = np.where(excess < 0.0, phi, lo[active])
         hi[active] = np.where(excess > 0.0, phi, hi[active])

@@ -334,10 +334,63 @@ def test_un_monte_carlo_oracle(gaussian_measure):
     assert abs(r.u_n - u_mc) < 3.0 * u_se
 
 
-def test_un_budget(xy, uniform_circle):
+def _un_tensor(psi, T, decomp, measure, n):
+    """Reference u_N by (N-1)-fold tail-tensor quadrature: each head node
+    sees the tail's product measure tilted by -head/(Tn)."""
+    zeta = psi.as_vector(decomp)
+    feats = decomp.weighted_modes(measure.nodes)
+    if decomp.pos_modes:
+        p_mode = decomp.pos_modes[0]
+        feats = np.vstack([feats, math.sqrt(p_mode.weight) * p_mode(measure.nodes)])
+        zeta = np.concatenate([zeta, [0.0]])
+    scale = 1.0 / (2.0 * T * n)
+
+    def exponent(sums):
+        return (zeta / T) @ sums - scale * np.einsum("ij,ij->j", sums, sums)
+
+    tail = np.zeros((len(feats), 1))
+    tail_ld, tail_w = np.zeros(1), np.ones(1)
+    for _ in range(n - 1):
+        tail = (tail[:, :, None] + feats[:, None, :]).reshape(len(feats), -1)
+        tail_ld = (tail_ld[:, None] + measure.log_density[None, :]).ravel()
+        tail_w = (tail_w[:, None] * measure.weights[None, :]).ravel()
+    tail_ld += exponent(tail)
+    tail_log_z = np.array([tilted_weights(-2.0 * scale * feats[None, :, i], tail, tail_w,
+                                          tail_ld)[0][0]
+                           for i in range(len(measure.nodes))])
+    log_z, _ = tilted_weights([[0.0], [1.0]], (exponent(feats) + tail_log_z)[None, :],
+                              measure.weights, measure.log_density)
+    return -(log_z[1] - n * log_z[0]) / n
+
+
+def _un_oracle_cases():
+    xy = md.xy_decomposition()
+    xy_pos = md.make_decomposition(neg=xy.neg_modes, pos=[Mode(0.3, "cos", 2)])
+    tanh = md.make_decomposition(alpha=0.5, neg=[Mode(1.0, "custom", fn=np.tanh,
+                                                      dfn=lambda x: 1.0 / np.cosh(x) ** 2)])
+    return [("xy", xy, "circle", [0.5, -0.2], 4),
+            ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),
+            ("tanh_gaussian", tanh, "gaussian", [0.3, 0.4], 3),
+            ("tanh_quartic1", tanh, "quartic1", [0.3, 0.4], 3)]
+
+
+@pytest.mark.parametrize("T", [0.35, 1.0])
+@pytest.mark.parametrize("name,decomp,measure,vec,n_max", _un_oracle_cases(),
+                         ids=[c[0] for c in _un_oracle_cases()])
+def test_un_matches_tensor_oracle(name, decomp, measure, vec, n_max, T, uniform_circle,
+                                  gaussian_measure, quartic1_measure):
+    measure = {"circle": uniform_circle, "gaussian": gaussian_measure,
+               "quartic1": quartic1_measure}[measure]
+    psi = ModeField.from_vector(vec, decomp)
+    for n in range(1, n_max + 1):
+        got = md.un_small_n(psi, T, decomp, measure, n).u_n
+        assert abs(got - _un_tensor(psi, T, decomp, measure, n)) <= 1e-13
+
+
+def test_un_budget(xy, uniform_circle, monkeypatch):
+    monkeypatch.setattr(md, "_TENSOR_BUDGET", 1000)
     with pytest.raises(GridExplosion):
-        md.un_small_n(ModeField(coords=np.zeros(2)), 1.0, xy, uniform_circle, 4,
-                      budget=1000)
+        md.un_small_n(ModeField(coords=np.zeros(2)), 1.0, xy, uniform_circle, 4)
     with pytest.raises(ValueError):
         md.un_small_n(ModeField(coords=np.zeros(2)), 1.0, xy, uniform_circle, 5)
 
