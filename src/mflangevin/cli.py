@@ -115,6 +115,10 @@ def _potential_from_config(config: dict) -> quad1d.PotentialSpec:
     raise PreconditionError(f"unknown potential kind {kind!r}")
 
 
+def _measure_from_config(config: dict) -> quad1d.LineMeasure:
+    return quad1d.build_measure(_potential_from_config(config), config["tol"])
+
+
 _POTENTIAL_SCHEMA = {
     "potential": (str, "quartic"),
     "lam": (float, 0.0),
@@ -128,7 +132,7 @@ _POTENTIAL_SCHEMA = {
 # -- subcommand handlers --------------------------------------------------------------
 
 def _cmd_tc(config, out_dir):
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     t_c = renormalized.critical_temperature(measure)
     _write_json(out_dir / "tc.json", {"t_critical": t_c, "potential": config["potential"]})
     print(f"T_c = {t_c:.6g}")
@@ -136,7 +140,7 @@ def _cmd_tc(config, out_dir):
 
 
 def _cmd_scan_vt(config, out_dir):
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     T = config["T"]
     if config["phi_max"] > 0:
         grid = np.linspace(-config["phi_max"], config["phi_max"], config["points"])
@@ -150,7 +154,7 @@ def _cmd_scan_vt(config, out_dir):
 
 
 def _cmd_free_energy(config, out_dir):
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     T = config["T"]
     m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
     table = renormalized.coarse_free_energy(measure, T, m_grid)
@@ -162,7 +166,7 @@ def _cmd_free_energy(config, out_dir):
 
 
 def _cmd_pl(config, out_dir):
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     T = config["T"]
     m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
     table = renormalized.coarse_free_energy(measure, T, m_grid)
@@ -188,7 +192,7 @@ def _cmd_modes_decompose(config, out_dir):
 
 def _cmd_scan_convexity(config, out_dir):
     decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     region = [(-config["radius"], config["radius"])] * decomp.dim
     scan = modes.strong_convexity_scan(config["T"], decomp, measure, region, config["grid"])
     header = [f"zeta_{k + 1}" for k in range(decomp.dim)] + ["min_eig"]
@@ -216,7 +220,7 @@ def _cmd_un_gap(config, out_dir):
         decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
     else:
         decomp = modes.xy_decomposition()
-    measure = quad1d.build_measure(_potential_from_config(config), config["tol"])
+    measure = _measure_from_config(config)
     psi = modes.ModeField.from_vector(config["psi"], decomp)
     rows = []
     for n in config["n_values"]:

@@ -61,6 +61,7 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 500
 _TENSOR_BUDGET = 2**25  # entries of the largest un_small_n array: 256 MiB of float64
+_UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
 
 
@@ -493,6 +494,51 @@ class SmallNResult:
         return self.u_n - self.u_limiting
 
 
+def _log_sum_exp(x: np.ndarray) -> float:
+    """log of the sum of exp(x) over all entries, by the one tilted-measure normaliser."""
+    return float(tilted_weights([[1.0]], x.reshape(1, -1), 1.0, 0.0)[0][0])
+
+
+def _log_pair_sum(lw: np.ndarray, n: int) -> float:
+    """log sum over node n-tuples (n = 2, 3, 4) of exp(lw summed over the tuple's
+    pairs), for a symmetric lw that is overwritten.  n = 3, 4 sum an outer pair
+    in the log domain over inner sums of products of factors <= 1, the rows
+    scaled by their maxima r.  Underflow moves an inner sum by at most `floor`
+    and by at most its true value, which (sum of square roots)^2 bounds; a sum
+    those bounds could move by more than _UNDERFLOW_REL is refused."""
+    if n == 2:
+        return _log_sum_exp(lw)
+    m_pts, r = len(lw), lw.max(axis=1)
+    if n == 3:  # inner_ac = sum_b G_ab G_cb, G_ab = exp(lw_ab - r_a)
+        factors = [np.exp(lw - r[:, None])]
+        outer = np.add(lw, r[:, None], out=lw)
+        outer += r
+
+        def contract(g):
+            return g @ g.T
+    else:  # inner_ab = sum_cd A_c K_cd A_d, A_(ab),c = exp(lw_ac + lw_bc + r_c/2 - s_ab)
+        a = lw[:, None, :] + (lw + 0.5 * r)[None, :, :]
+        s = a.max(axis=2, keepdims=True)
+        a -= s
+        factors = [np.exp(a, out=a).reshape(-1, m_pts), np.exp(lw - 0.5 * (r[:, None] + r))]
+        outer = lw + 2.0 * s[:, :, 0]
+
+        def contract(a, k):
+            return np.einsum("ij,ij->i", a @ k, a).reshape(m_pts, m_pts)
+    floor = 4.0 * m_pts ** (n - 2) * np.finfo(float).smallest_subnormal
+    log_tol = math.log(_UNDERFLOW_REL)
+    with np.errstate(divide="ignore"):
+        log_e = _log_sum_exp(outer + np.log(contract(*factors)))
+        slack = _log_sum_exp(outer) + math.log(floor) - log_e
+        if slack >= log_tol:
+            root = contract(*(np.sqrt(f, out=f) for f in factors))
+            bound = np.minimum(math.log(floor), math.log(4.0) + 2.0 * np.log(root + floor))
+            slack = _log_sum_exp(outer + bound) - log_e
+    if not slack < log_tol:
+        raise ConsistencyCheckFailed(f"N={n} pair sum unresolved: underflow bound e^{slack:.1f}")
+    return log_e
+
+
 def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
                measure: LineMeasure, n: int) -> SmallNResult:
     """Finite-N counterpart of the limiting potential:
@@ -501,10 +547,10 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
 
     with S = sum_i n(x_i) and the expectation over the N-fold product of the
     base measure.  Same additive-constant normalisation as ``u_limit``.
-    Expanding |S|^2 gives a complete-graph pair model: site masses h tilted by
-    zeta.f/T - |f|^2/(2TN) and the kernel K = exp(-f_a.f_b/(TN) - shift), shifted
-    to a maximum of 1, so log Z_N = N log Z_h + log E + N(N-1)/2 shift with E the
-    h-expectation of the product of K over all pairs.
+    Expanding |S|^2 gives a pair model: site masses h tilted by zeta.f/T -
+    |f|^2/(2TN) and pair weights exp(-f_a.f_b/(TN)), so log Z_N = N log Z_h +
+    log E(product of pair weights), with E over h^N.  Raises
+    ConsistencyCheckFailed when underflow leaves that expectation unresolved.
     """
     if not (1 <= n <= 4):
         raise ValueError("the pair contraction supports 1 <= N <= 4")
@@ -520,26 +566,18 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
                       + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
     # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
-    log_z, p = tilted_weights([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))],
-                              np.vstack([feats, np.einsum("ij,ij->j", feats, feats)]),
-                              measure.weights, measure.log_density)
+    fields = np.array([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))])
+    rows = np.vstack([feats, np.einsum("ij,ij->j", feats, feats)])
+    log_z, _ = tilted_weights(fields, rows, measure.weights, measure.log_density)
     u_n = -(log_z[1] - log_z[0])
-    if n > 1:
-        h, k = p[1], feats.T @ feats
-        k /= -T * n
-        shift = float(np.max(k))
-        k -= shift
-        np.exp(k, out=k)
-        if n == 2:
-            e = h @ k @ h
-        elif n == 3:
-            e = h @ (k * ((k * h) @ k)) @ h
-        else:  # A_(ab),c = h_c K_ac K_bc; E = sum_ab h_a h_b K_ab rowsum((A K) o A)_ab
-            a = (h * k[:, None, :] * k[None, :, :]).reshape(-1, m_pts)
-            e = (h[:, None] * k * h).ravel() @ np.einsum("ij,ij->i", a @ k, a)
-        if not e > np.finfo(float).tiny:
-            raise ConsistencyCheckFailed(f"pair-kernel expectation {e:.3e} underflowed")
-        u_n -= (math.log(e) + n * (n - 1) / 2.0 * shift) / n
+    if n > 1:  # log h in closed form: the masses themselves underflow at far nodes
+        share = (fields[1] @ rows + measure.log_density + np.log(measure.weights)
+                 - log_z[1]) / (n - 1)
+        # lw_ab = -f_a.f_b/(Tn) + (log h_a + log h_b)/(n - 1), as one product: each
+        # node's log h is shared among its n - 1 pairs
+        one = np.ones(m_pts)
+        lw = np.vstack([feats, share, one]).T @ np.vstack([feats / (-T * n), one, share])
+        u_n -= _log_pair_sum(lw, n) / n
     return SmallNResult(n=n, u_n=u_n, u_limiting=u_limit(psi, T, decomp, measure))
 
 

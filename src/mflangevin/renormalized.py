@@ -183,18 +183,8 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
     if T <= 0:
         raise ValueError("temperature must be positive")
     m_grid = np.asarray(m_grid, dtype=float)
-    # no mean the search reaches lies outside the domain its largest tilts need
-    m_lo, m_hi = measure.domain_bounds
-    if measure.domain != CIRCLE:
-        try:
-            far = _find_bounds(measure.potential, -_MAX_FIELD_BRACKET / T, _MAX_FIELD_BRACKET / T)
-            m_lo, m_hi = min(m_lo, far[0]), max(m_hi, far[1])
-        except NonNormalizable:  # smaller tilts may still resolve: the search decides
-            m_lo, m_hi = -np.inf, np.inf
-    beyond = (m_grid <= m_lo) | (m_grid >= m_hi)
-    if np.any(beyond):
-        raise OutOfRange(f"magnetisation {m_grid[beyond][0]} is outside the attainable range")
-    w, inside = max(4.0 * T, 4.0), np.zeros(m_grid.shape, dtype=bool)
+    start = max(4.0 * T, 4.0)
+    w, inside = start, np.zeros(m_grid.shape, dtype=bool)
     while w <= _MAX_FIELD_BRACKET:
         try:
             inside = ((magnetization_map(measure, T, -w) < m_grid)
@@ -203,6 +193,18 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
             break  # the tilt needed is beyond what the representation resolves
         if np.all(inside):
             break
+        if w == start:  # before widening: no mean lies outside what the largest tilts need
+            (m_lo, m_hi), big = measure.domain_bounds, _MAX_FIELD_BRACKET / T
+            if measure.domain != CIRCLE:
+                try:
+                    far = _find_bounds(measure.potential, -big, big)
+                    m_lo, m_hi = min(m_lo, far[0]), max(m_hi, far[1])
+                except NonNormalizable:  # smaller tilts may still resolve: the search decides
+                    m_lo, m_hi = -np.inf, np.inf
+            beyond = (m_grid <= m_lo) | (m_grid >= m_hi)
+            if np.any(beyond):
+                raise OutOfRange(
+                    f"magnetisation {m_grid[beyond][0]} is outside the attainable range")
         w *= 2.0
     if not np.all(inside):
         raise OutOfRange(f"magnetisation {m_grid[~inside][0]} is outside the attainable range")

@@ -6,7 +6,8 @@ import pytest
 
 from mflangevin import modes as md
 from mflangevin import renormalized as rn
-from mflangevin.errors import GridExplosion, TooManyModes, TruncationTooCoarse, Unsupported
+from mflangevin.errors import (ConsistencyCheckFailed, GridExplosion, TooManyModes,
+                              TruncationTooCoarse, Unsupported)
 from mflangevin.modes import Mode, ModeField
 from mflangevin.quad1d import tilted_weights
 
@@ -363,15 +364,21 @@ def _un_tensor(psi, T, decomp, measure, n):
     return -(log_z[1] - n * log_z[0]) / n
 
 
+def _tanh_decomposition(alpha):
+    return md.make_decomposition(alpha=alpha, neg=[Mode(1.0, "custom", fn=np.tanh,
+                                                        dfn=lambda x: 1.0 / np.cosh(x) ** 2)])
+
+
 def _un_oracle_cases():
     xy = md.xy_decomposition()
     xy_pos = md.make_decomposition(neg=xy.neg_modes, pos=[Mode(0.3, "cos", 2)])
-    tanh = md.make_decomposition(alpha=0.5, neg=[Mode(1.0, "custom", fn=np.tanh,
-                                                      dfn=lambda x: 1.0 / np.cosh(x) ** 2)])
     return [("xy", xy, "circle", [0.5, -0.2], 4),
             ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),
-            ("tanh_gaussian", tanh, "gaussian", [0.3, 0.4], 3),
-            ("tanh_quartic1", tanh, "quartic1", [0.3, 0.4], 3)]
+            ("tanh_gaussian", _tanh_decomposition(0.5), "gaussian", [0.3, 0.4], 3),
+            ("tanh_quartic1", _tanh_decomposition(0.5), "quartic1", [0.3, 0.4], 3),
+            # a strong quadratic part: the pair weights span hundreds of e-folds
+            ("alpha4_gaussian", _tanh_decomposition(4.0), "gaussian", [0.3, 0.4], 3),
+            ("alpha8_gaussian", _tanh_decomposition(8.0), "gaussian", [0.3, 0.4], 3)]
 
 
 @pytest.mark.parametrize("T", [0.35, 1.0])
@@ -385,6 +392,32 @@ def test_un_matches_tensor_oracle(name, decomp, measure, vec, n_max, T, uniform_
     for n in range(1, n_max + 1):
         got = md.un_small_n(psi, T, decomp, measure, n).u_n
         assert abs(got - _un_tensor(psi, T, decomp, measure, n)) <= 1e-13
+
+
+# lw_ab = -scale (x_a x_b + c (x_a^2 + x_b^2)) is indefinite for c < 1/2: the largest pair
+# weights sit at x_a = -x_b, where no third node can join them; the last two cases need
+# the square-root bound on the underflowed inner sums to be accepted
+@pytest.mark.parametrize("c,scale,n", [(0.45, 10.0, 2), (0.45, 10.0, 3), (0.45, 10.0, 4),
+                                       (0.3, 100.0, 3), (0.3, 200.0, 4)])
+def test_log_pair_sum_matches_brute_force(c, scale, n):
+    x = np.linspace(-3.0, 3.0, 16)
+    lw = -scale * (np.multiply.outer(x, x) + c * np.add.outer(x**2, x**2))
+    tuples = np.array(list(itertools.product(range(16), repeat=n)))
+    exps = sum(lw[tuples[:, i], tuples[:, j]] for i, j in itertools.combinations(range(n), 2))
+    top = float(np.max(exps))
+    assert abs(md._log_pair_sum(lw.copy(), n) - (top + math.log(np.sum(np.exp(exps - top))))) \
+        <= 1e-13 * max(1.0, abs(top))
+
+
+def test_un_refuses_unresolved_pair_sum(gaussian_measure):
+    # at T = 0.05 the N = 3 pair sum's terms fall below the smallest subnormal
+    # where they still matter (the sum would be off by ~1e-8): refused, not returned
+    d = _tanh_decomposition(4.0)
+    with pytest.raises(ConsistencyCheckFailed, match="pair sum"):
+        md.un_small_n(ModeField.from_vector([0.3, 0.4], d), 0.05, d, gaussian_measure, 3)
+    x = np.linspace(-3.0, 3.0, 16)
+    with pytest.raises(ConsistencyCheckFailed, match="pair sum"):
+        md._log_pair_sum(-400.0 * (np.multiply.outer(x, x) + 0.2 * np.add.outer(x**2, x**2)), 3)
 
 
 def test_un_budget(xy, uniform_circle, monkeypatch):

@@ -1,7 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,42 +198,21 @@ def test_inversion_matches_brentq_oracle(case, gaussian_measure, quartic1_measur
     assert np.max(np.abs((fe.values - fe.values[mid]) - (values - values[mid]))) < 1e-10
 
 
-# The child reports its own high-water RSS from /proc: resource's ru_maxrss
-# of a process started by vfork and exec also counts its parent's peak.
-_OUT_OF_RANGE_CHILD = """
-import sys, time
-import numpy as np
-from mflangevin import renormalized as rn
-from mflangevin.errors import OutOfRange
-from mflangevin.quad1d import PotentialSpec, build_measure
-measure = build_measure(PotentialSpec.gaussian(1.0), 1e-10)
-start = time.perf_counter()
-try:
-    rn.coarse_free_energy(measure, 1.0, np.array([1e30]))
-    sys.exit("no OutOfRange")
-except OutOfRange:
-    pass
-seconds = time.perf_counter() - start
-with open("/proc/self/status") as fh:
-    print(seconds, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-"""
-
-
 def test_out_of_range(gaussian_measure):
     # confining potentials reach any finite mean eventually, so the error
     # surfaces when the requested value lies past what the largest bracket
-    # of the search can reach
-    with pytest.raises(OutOfRange):
-        rn.coarse_free_energy(gaussian_measure, 1.0, np.array([1e30]))
-    # and is raised before any wide grid is built: fast, in a small process
-    src = str(Path(rn.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", _OUT_OF_RANGE_CHILD], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    seconds, peak_rss_kb = map(float, out.stdout.split())
+    # of the search can reach; it comes before any wide grid is built
+    # (numpy reports its buffers to tracemalloc; the widest grid takes > 1 GB)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange):
+            rn.coarse_free_energy(gaussian_measure, 1.0, np.array([1e30]))
+        seconds, peak_bytes = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert seconds < 1.0
-    assert peak_rss_kb / 1024.0 < 300.0
+    assert peak_bytes < 100e6
 
 
 def test_free_energy_where_large_tilts_are_unresolvable():
