@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,7 +185,9 @@ def _oracle_configs():
     base = dict(temperature=1.1, dt=1e-3, n_steps=1100, burn_in=37, seed=5, thinning=7)
 
     def cfg(**kw):
-        return dy.SimConfig(**{**base, **kw})
+        with warnings.catch_warnings():  # the large-step circle run warns on dt
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return dy.SimConfig(**{**base, **kw})
 
     return {
         "quartic_r8": cfg(n_particles=30, replicas=8, potential=quartic),
@@ -207,6 +210,22 @@ def _oracle_configs():
                          topology=gr.gen_rrg(120, 6, 17)),
         "rrg_sparse": cfg(n_particles=600, replicas=2, n_steps=700, thinning=1,
                           potential=quartic, topology=gr.gen_rrg(600, 8, 3)),
+        # a single replica steps as an (n,) vector: scalar mean-field sums,
+        # a 1-D matvec on dense and sparse adjacencies, a wide XY state
+        "rrg_dense_r1": cfg(n_particles=120, replicas=1, potential=quartic,
+                            topology=gr.gen_rrg(120, 6, 17)),
+        "rrg_sparse_r1": cfg(n_particles=600, replicas=1, n_steps=700, thinning=1,
+                             potential=quartic, topology=gr.gen_rrg(600, 8, 3)),
+        "xy_r1": cfg(n_particles=700, replicas=1, potential=flat,
+                     modes=md.xy_decomposition()),
+        # steps of noise sd sqrt(2 dt) = 2.8 carry angles past 2 pi by more
+        # than a period, on the masked wrap (640 angles) and on np.remainder
+        "xy_large_steps": cfg(n_particles=80, replicas=8, temperature=50.0, dt=4.0,
+                              n_steps=300, thinning=1, potential=flat,
+                              modes=md.xy_decomposition()),
+        "xy_large_steps_r1": cfg(n_particles=80, replicas=1, temperature=50.0, dt=4.0,
+                                 n_steps=300, thinning=1, potential=flat,
+                                 modes=md.xy_decomposition()),
     }
 
 
@@ -367,7 +386,7 @@ def test_gaussian_control_bound_not_small():
 def test_covariance_constant_f_trivial():
     rng = np.random.default_rng(0)
     ratio, _ = dy.covariance_ratio(
-        (lambda x: np.ones(len(x)), lambda x: np.zeros_like(x)),
+        lambda x: (np.ones(len(x)), np.zeros(len(x))),
         (lambda x: np.sum(x, axis=1), 3.0), 3, rng, 20_000)
     assert ratio == 0.0
 
@@ -375,8 +394,7 @@ def test_covariance_constant_f_trivial():
 def test_covariance_constant_h_trivial():
     rng = np.random.default_rng(1)
     ratio, _ = dy.covariance_ratio(
-        (lambda x: x[:, 0] * np.exp(-np.sum(x**2, axis=1)),
-         lambda x: np.zeros_like(x) + 1.0),
+        lambda x: (x[:, 0] * np.exp(-np.sum(x**2, axis=1)), np.full(len(x), 2.0)),
         (lambda x: np.ones(len(x)), 1.0), 2, rng, 20_000)
     assert abs(ratio) < 1e-3  # covariance against a constant vanishes
 
@@ -385,17 +403,85 @@ def test_covariance_window_pair():
     rng = np.random.default_rng(2)
     s2 = 4.0
 
-    def f(x):
-        return x[:, 0] * np.exp(-x[:, 0] ** 2 / (2.0 * s2))
+    def f_and_grad_sq(x):
+        w = np.exp(-x[:, 0] ** 2 / (2.0 * s2))
+        return x[:, 0] * w, ((1.0 - x[:, 0] ** 2 / s2) * w) ** 2
 
-    def grad_f(x):
-        g = np.zeros_like(x)
-        g[:, 0] = (1.0 - x[:, 0] ** 2 / s2) * np.exp(-x[:, 0] ** 2 / (2.0 * s2))
-        return g
-
-    ratio, se = dy.covariance_ratio((f, grad_f), (lambda x: x[:, 0], 1.0),
+    ratio, se = dy.covariance_ratio(f_and_grad_sq, (lambda x: x[:, 0], 1.0),
                                     1, rng, 400_000)
     assert ratio <= 1.0 + 5.0 * se
+
+
+def _covariance_ratio_pairs(f_pair, h_pair, n, rng, n_samples, batches=20):
+    """Reference covariance estimate: F and grad F as separate callables on the
+    C-ordered samples, |grad F|^2 as a row sum."""
+    f_fn, grad_f_fn = f_pair
+    h_fn, sup_grad_sq = h_pair
+    per = n_samples // batches
+    stats = np.zeros((batches, 4))
+    for b in range(batches):
+        x = rng.standard_normal((per, n))
+        f2 = f_fn(x) ** 2
+        g2 = np.sum(grad_f_fn(x) ** 2, axis=1)
+        h = h_fn(x)
+        stats[b] = [f2.mean(), g2.mean(), (f2 * h).mean(), h.mean()]
+
+    def ratio_of(row):
+        ef2, eg2, ef2h, eh = row
+        cov = ef2h - ef2 * eh
+        rhs = 4.0 * sup_grad_sq * ef2 * eg2
+        return cov**2 / rhs if rhs > 0 else 0.0
+
+    pooled = ratio_of(stats.mean(axis=0))
+    per_batch = np.array([ratio_of(row) for row in stats])
+    return pooled, float(np.std(per_batch, ddof=1) / np.sqrt(batches))
+
+
+def _window_poly_pair(n, rng):
+    """Reference windowed polynomial: F and its gradient, each computed on its own."""
+    k = min(n, 3)
+    c0 = rng.uniform(-1.0, 1.0)
+    lin = rng.uniform(-1.0, 1.0, k)
+    quad = rng.uniform(-0.5, 0.5, k)
+    s2 = rng.uniform(1.5, 3.0) ** 2
+
+    def f(x):
+        q = c0 + x[:, :k] @ lin + (x[:, :k] ** 2) @ quad
+        return q * np.exp(-np.sum(x**2, axis=1) / (2.0 * s2))
+
+    def grad_f(x):
+        w = np.exp(-np.sum(x**2, axis=1) / (2.0 * s2))
+        q = c0 + x[:, :k] @ lin + (x[:, :k] ** 2) @ quad
+        g = -x * (q / s2)[:, None]
+        g[:, :k] += lin + 2.0 * quad * x[:, :k]
+        return g * w[:, None]
+
+    return f, grad_f
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 16, 20])
+def test_covariance_check_matches_pair_reference(n):
+    rep = dy.covariance_bound_check(n, seed=31, n_samples=20_000, n_pairs=4)
+    rng = np.random.default_rng(np.random.SeedSequence([31, n]))
+    ratios, stderrs = [], []
+    for i in range(4):
+        f_pair = _window_poly_pair(n, rng)
+        h_pair = dy._lipschitz_pair(n, rng, clipped=bool(i % 2))
+        ratio, se = _covariance_ratio_pairs(f_pair, h_pair, n, rng, 20_000)
+        ratios.append(ratio)
+        stderrs.append(se)
+    assert np.array(rep.ratios).tobytes() == np.array(ratios).tobytes()
+    assert np.array(rep.stderrs).tobytes() == np.array(stderrs).tobytes()
+
+
+def test_coord_sum_matches_row_sum():
+    rng = np.random.default_rng(12)
+    for n in range(1, 129):
+        x = rng.standard_normal((300, n)) * np.exp(rng.uniform(-30.0, 30.0, (300, n)))
+        x[::5, 0] = -0.0
+        x[::7] = -0.0  # an all -0.0 row sums to +0.0
+        got = dy._coord_sum(np.ascontiguousarray(x.T))
+        assert got.tobytes() == np.sum(x, axis=1).tobytes(), n
 
 
 def test_covariance_check_report():
