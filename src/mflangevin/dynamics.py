@@ -48,10 +48,6 @@ __all__ = [
 
 _BLOWUP_LIMIT = 1e6
 _NOISE_BLOCK = 512
-# angles per step from which two masked updates and a range check cost less
-# than one np.remainder call (break-even measured at 600-700 angles on a
-# 2-core x86-64 host, numpy 2.4)
-_MASKED_WRAP_MIN = 640
 _MAGIC = b"MFLSAMP1"
 
 
@@ -220,12 +216,7 @@ def simulate(config: SimConfig) -> np.ndarray:
     coordinate exceeds 1e6 on the real line.
 
     A single replica steps as an (n,) vector, so its mean-field sums are
-    scalars rather than (1, 1) arrays broadcast on every step.  From
-    ``_MASKED_WRAP_MIN`` angles per step, angles are wrapped by subtracting
-    2*pi where x >= 2*pi and adding it where x < 0.  On [-2*pi, 4*pi) that
-    gives the bits of ``np.remainder`` (the subtraction is exact by
-    Sterbenz's lemma, the addition rounds as ``np.remainder`` does), and a
-    step that leaves the range is redone with ``np.remainder``.
+    scalars rather than (1, 1) arrays broadcast on every step.
     """
     ss = np.random.SeedSequence(config.seed)
     gens = [np.random.default_rng(c) for c in ss.spawn(config.replicas)]
@@ -235,13 +226,9 @@ def simulate(config: SimConfig) -> np.ndarray:
     kept = np.empty((config.replicas, config.n_kept, config.n_particles))
     scale = np.sqrt(2.0 * config.dt)
     circle = config.potential.domain == CIRCLE
-    masked_wrap = circle and x.size >= _MASKED_WRAP_MIN
     f = _drift_fn(config)
     dt = config.dt
     two_pi = 2.0 * np.pi
-    # a float64 in [0, 2*pi) read as a uint64 lies below the bits of 2*pi;
-    # -0.0, negative, too large and NaN states do not
-    wrapped_limit = np.float64(two_pi).view(np.uint64)
     k = 0
     keep = config.burn_in  # next step whose state is kept
     with np.errstate(over="ignore", invalid="ignore"):  # divergence caught below
@@ -259,15 +246,9 @@ def simulate(config: SimConfig) -> np.ndarray:
             if not circle and not np.all(np.abs(x) <= _BLOWUP_LIMIT):
                 raise NumericalBlowup(f"|x| exceeded {_BLOWUP_LIMIT:g} at step {start}")
             for step, z in enumerate(noise, start):
-                y = x + dt * f(x) + z
-                if masked_wrap:
-                    np.subtract(y, two_pi, out=y, where=y >= two_pi)
-                    np.add(y, two_pi, out=y, where=y < 0.0)
-                    if y.view(np.uint64).max() >= wrapped_limit:
-                        y = (x + dt * f(x) + z) % two_pi
-                elif circle:
-                    y %= two_pi
-                x = y
+                x = x + dt * f(x) + z
+                if circle:
+                    x %= two_pi
                 if step == keep:
                     kept[:, k, :] = x
                     k += 1
@@ -419,21 +400,34 @@ def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator,
 
 def _coord_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the first axis of an (n, samples) array, in the order numpy
-    sums each row of the (samples, n) transpose, so for n <= 128 the bits
-    equal those of ``np.sum(a.T, axis=1)``: 0.0 plus numpy's pairwise sum,
-    which adds fewer than 8 terms left to right, and more in eight strided
-    lanes, combined pairwise, then the remaining terms left to right."""
+    sums each row of the (samples, n) transpose, so the bits equal those of
+    ``np.sum(a.T, axis=1)``: 0.0 plus numpy's pairwise sum, which adds fewer
+    than 8 terms left to right (``_pairwise_sum`` takes the rest)."""
     n = len(a)
     if n < 8:
         out = a[0] + 0.0
         for row in a[1:]:
             out += row
         return out
+    out = _pairwise_sum(a)
+    out += 0.0
+    return out
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum over the first axis, for at least 8 terms: up to
+    128 in eight strided lanes, combined pairwise, then the remaining terms
+    left to right; more are split in two, at a multiple of 8 next to the
+    middle, and each half summed the same way."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
     tail = n - n % 8
     r = a[:8].copy()
     for i in range(8, tail, 8):
         r += a[i:i + 8]
-    out = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for row in a[tail:]:
         out += row
     return out

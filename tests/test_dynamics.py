@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -185,9 +184,12 @@ def _oracle_configs():
     base = dict(temperature=1.1, dt=1e-3, n_steps=1100, burn_in=37, seed=5, thinning=7)
 
     def cfg(**kw):
-        with warnings.catch_warnings():  # the large-step circle run warns on dt
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return dy.SimConfig(**{**base, **kw})
+        return dy.SimConfig(**{**base, **kw})
+
+    # steps of noise sd sqrt(2 dt) = 2.8 carry angles past 2 pi by more than
+    # a period
+    large = dict(n_particles=80, temperature=50.0, dt=4.0, n_steps=300, thinning=1,
+                 potential=flat, modes=md.xy_decomposition())
 
     return {
         "quartic_r8": cfg(n_particles=30, replicas=8, potential=quartic),
@@ -211,21 +213,15 @@ def _oracle_configs():
         "rrg_sparse": cfg(n_particles=600, replicas=2, n_steps=700, thinning=1,
                           potential=quartic, topology=gr.gen_rrg(600, 8, 3)),
         # a single replica steps as an (n,) vector: scalar mean-field sums,
-        # a 1-D matvec on dense and sparse adjacencies, a wide XY state
+        # a 1-D matvec on dense and sparse adjacencies, an XY state
         "rrg_dense_r1": cfg(n_particles=120, replicas=1, potential=quartic,
                             topology=gr.gen_rrg(120, 6, 17)),
         "rrg_sparse_r1": cfg(n_particles=600, replicas=1, n_steps=700, thinning=1,
                              potential=quartic, topology=gr.gen_rrg(600, 8, 3)),
-        "xy_r1": cfg(n_particles=700, replicas=1, potential=flat,
+        "xy_r1": cfg(n_particles=100, replicas=1, potential=flat,
                      modes=md.xy_decomposition()),
-        # steps of noise sd sqrt(2 dt) = 2.8 carry angles past 2 pi by more
-        # than a period, on the masked wrap (640 angles) and on np.remainder
-        "xy_large_steps": cfg(n_particles=80, replicas=8, temperature=50.0, dt=4.0,
-                              n_steps=300, thinning=1, potential=flat,
-                              modes=md.xy_decomposition()),
-        "xy_large_steps_r1": cfg(n_particles=80, replicas=1, temperature=50.0, dt=4.0,
-                                 n_steps=300, thinning=1, potential=flat,
-                                 modes=md.xy_decomposition()),
+        "xy_large_steps": cfg(replicas=8, **large),
+        "xy_large_steps_r1": cfg(replicas=1, **large),
     }
 
 
@@ -474,9 +470,21 @@ def test_covariance_check_matches_pair_reference(n):
     assert np.array(rep.stderrs).tobytes() == np.array(stderrs).tobytes()
 
 
+@pytest.mark.parametrize("n", [136, 300])
+def test_window_poly_matches_pair_reference_wide(n):
+    """covariance_bound_check stops at n = 20; F and |grad F|^2 keep the
+    reference bits at any width, where the coordinate sum splits in halves."""
+    f_and_grad_sq = dy._window_poly(n, np.random.default_rng(n))
+    f, grad_f = _window_poly_pair(n, np.random.default_rng(n))
+    x = np.random.default_rng(0).standard_normal((1000, n))
+    got_f, got_g2 = f_and_grad_sq(x)
+    assert got_f.tobytes() == f(x).tobytes()
+    assert got_g2.tobytes() == np.sum(grad_f(x) ** 2, axis=1).tobytes()
+
+
 def test_coord_sum_matches_row_sum():
     rng = np.random.default_rng(12)
-    for n in range(1, 129):
+    for n in range(1, 301):  # 129 and up split in two halves, 256 and up in four
         x = rng.standard_normal((300, n)) * np.exp(rng.uniform(-30.0, 30.0, (300, n)))
         x[::5, 0] = -0.0
         x[::7] = -0.0  # an all -0.0 row sums to +0.0
