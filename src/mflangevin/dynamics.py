@@ -7,12 +7,17 @@ The integrator is explicit:
 
 with the drift assembled from the confinement potential and the interaction
 (complete graph, sparse graph, or circle mode interaction).  Replicas evolve
-in lockstep as one (replicas, n) state array but consume independent
-deterministic RNG streams, so a run is reproducible bit for bit from
-(config, seed) and adding replicas never perturbs existing ones.
+in lockstep as one (replicas, n) state array, and a single replica as an (n,)
+vector, but consume independent deterministic RNG streams, so a run is
+reproducible bit for bit from (config, seed) and adding replicas never
+perturbs existing ones.  The noise is drawn in blocks of steps into one
+buffer that a run reuses, capped at 512 steps and 4 MiB.
 """
 from __future__ import annotations
 
+import io
+import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -47,7 +52,8 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e6
-_NOISE_BLOCK = 512
+_NOISE_BLOCK = 512  # steps per noise block at most
+_NOISE_BYTES = 1 << 22  # bytes per noise block at most
 _MAGIC = b"MFLSAMP1"
 
 
@@ -216,14 +222,26 @@ def simulate(config: SimConfig) -> np.ndarray:
     coordinate exceeds 1e6 on the real line.
 
     A single replica steps as an (n,) vector, so its mean-field sums are
-    scalars rather than (1, 1) arrays broadcast on every step.
+    scalars rather than (1, 1) arrays broadcast on every step.  The noise of
+    up to 512 steps is drawn at a time, into one buffer of at most 4 MiB
+    that the run refills; the divergence check runs at each block start and
+    on the kept states.
     """
     ss = np.random.SeedSequence(config.seed)
     gens = [np.random.default_rng(c) for c in ss.spawn(config.replicas)]
     x = _initial_state(config, gens)
-    if config.replicas == 1:
+    r, n = config.replicas, config.n_particles
+    rows = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * r * n)))
+    # row j holds the noise of step start+j: (rows, n) for one replica, else
+    # (rows, replicas, n), so each step reads one contiguous row.  A replica's
+    # generator fills the reused (rows, n) slab from its own stream, whose
+    # values do not depend on how its draws are split into calls.
+    if r == 1:
         x = x[0]
-    kept = np.empty((config.replicas, config.n_kept, config.n_particles))
+        noise, slab = np.empty((rows, n)), None
+    else:
+        noise, slab = np.empty((rows, r, n)), np.empty((rows, n))
+    kept = np.empty((r, config.n_kept, n))
     scale = np.sqrt(2.0 * config.dt)
     circle = config.potential.domain == CIRCLE
     f = _drift_fn(config)
@@ -232,20 +250,19 @@ def simulate(config: SimConfig) -> np.ndarray:
     k = 0
     keep = config.burn_in  # next step whose state is kept
     with np.errstate(over="ignore", invalid="ignore"):  # divergence caught below
-        for start in range(0, config.n_steps, _NOISE_BLOCK):
-            block = min(_NOISE_BLOCK, config.n_steps - start)
-            # (block, n) for one replica, else (block, replicas, n); row j
-            # for step start+j; each replica's generator draws its own
-            # (block, n) slab from its own stream
-            if x.ndim == 1:
-                noise = gens[0].standard_normal((block, config.n_particles))
+        for start in range(0, config.n_steps, rows):
+            block = noise[:min(rows, config.n_steps - start)]
+            if slab is None:
+                gens[0].standard_normal(out=block)
             else:
-                noise = np.stack([g.standard_normal((block, config.n_particles))
-                                  for g in gens], axis=1)
-            noise *= scale
+                part = slab[:len(block)]
+                for i, g in enumerate(gens):
+                    g.standard_normal(out=part)
+                    block[:, i] = part
+            block *= scale
             if not circle and not np.all(np.abs(x) <= _BLOWUP_LIMIT):
                 raise NumericalBlowup(f"|x| exceeded {_BLOWUP_LIMIT:g} at step {start}")
-            for step, z in enumerate(noise, start):
+            for step, z in enumerate(block, start):
                 x = x + dt * f(x) + z
                 if circle:
                     x %= two_pi
@@ -253,7 +270,8 @@ def simulate(config: SimConfig) -> np.ndarray:
                     kept[:, k, :] = x
                     k += 1
                     keep += config.thinning
-    if not circle and not np.all(np.abs(kept) <= _BLOWUP_LIMIT):
+    # a NaN fails both comparisons
+    if not circle and not (kept.max() <= _BLOWUP_LIMIT and kept.min() >= -_BLOWUP_LIMIT):
         raise NumericalBlowup("trajectory left the admissible region")
     return kept
 
@@ -507,29 +525,41 @@ def write_samples(samples: np.ndarray, path, *, temperature: float, dt: float,
                   seed: int) -> None:
     """Binary frames: a fixed header (n, T, dt, seed, replicas, frames) then
     little-endian float64 states, frame-major per replica."""
-    s = _as_replica_array(samples)
+    s = np.ascontiguousarray(_as_replica_array(samples), dtype="<f8")
     r, frames, n = s.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, n, float(temperature), float(dt), seed, r, frames))
-        fh.write(np.ascontiguousarray(s, dtype="<f8").tobytes())
+        fh.write(s.data)
 
 
 def read_samples(path):
-    """Inverse of write_samples; returns (samples, meta dict)."""
+    """Inverse of write_samples; returns (samples, meta dict).
+
+    The file's size is checked against the one its header implies before the
+    states are allocated, and they are read straight into the result.  A
+    pipe has no size until it is read, so it is read whole first.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise OSError(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
-    magic, n, temperature, dt, seed, r, frames = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise OSError(f"{path}: {len(raw)} bytes, but no sample-file magic number {_MAGIC!r}")
-    expected = _HEADER.size + 8 * r * frames * n
-    if len(raw) != expected:
-        raise OSError(f"{path}: {len(raw)} bytes, but its header (replicas={r}, "
-                      f"frames={frames}, n={n}) implies {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(r, frames, n)
-    return data.copy(), {"n": n, "temperature": temperature, "dt": dt,
-                         "seed": seed, "replicas": r, "frames": frames}
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            size, stream = st.st_size, fh
+        else:
+            raw = fh.read()
+            size, stream = len(raw), io.BytesIO(raw)
+        if size < _HEADER.size:
+            raise OSError(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
+        magic, n, temperature, dt, seed, r, frames = _HEADER.unpack(stream.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise OSError(f"{path}: {size} bytes, but no sample-file magic number {_MAGIC!r}")
+        expected = _HEADER.size + 8 * r * frames * n
+        if size != expected:
+            raise OSError(f"{path}: {size} bytes, but its header (replicas={r}, "
+                          f"frames={frames}, n={n}) implies {expected}")
+        data = np.empty((r, frames, n), dtype="<f8")
+        if stream.readinto(data) != data.nbytes:
+            raise OSError(f"{path}: shorter than its {size} bytes when read")
+    return data, {"n": n, "temperature": temperature, "dt": dt,
+                  "seed": seed, "replicas": r, "frames": frames}
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:

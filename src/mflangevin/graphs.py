@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InfeasibleDegree, NoConvergence, PreconditionError, RestartBudgetExceeded
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GraphInstance",
@@ -49,6 +51,8 @@ class GraphInstance:
     seed: int
 
     def adjacency(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
         rows, cols = np.concatenate([self.edges, self.edges[:, ::-1]]).T
         return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
 
@@ -138,6 +142,8 @@ def spectral_report(g: GraphInstance) -> SpectralReport:
     """
     if g.d_eff <= 0:
         return SpectralReport(epsilon=0.0, top_singular=0.0, iterations=0, residual=0.0)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     a = g.adjacency()
     matvecs = 0
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .errors import GridFailure, NonNormalizable
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "PotentialSpec",
@@ -116,6 +118,8 @@ class PotentialSpec:
     @cached_property
     def _spline(self) -> CubicSpline:
         """Built on first use and kept: a spec's table never changes."""
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(np.asarray(self.table_nodes), np.asarray(self.table_values))
 
     def value(self, x) -> np.ndarray:

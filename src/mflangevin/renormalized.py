@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     GridFailure,
@@ -122,6 +121,8 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
     minimizers = [float(phi[i]) for i in np.flatnonzero(np.abs(dv) <= tiny)
                   if ddv[i] > 0.0]
     crossings = np.flatnonzero((dv[:-1] < -tiny) & (dv[1:] > tiny))
+    if len(crossings):  # scipy is loaded only when a crossing needs it
+        from scipy.optimize import brentq
     for i in crossings:
         minimizers.append(float(brentq(lambda p: _dv_scalar(measure, T, p),
                                        phi[i], phi[i + 1], xtol=_ROOT_TOL,

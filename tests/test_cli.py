@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,14 +225,17 @@ def test_exit_code_io_error(tmp_path):
 
 @pytest.mark.parametrize("command", ["estimate", "plateau-bound"])
 @pytest.mark.parametrize("damage", ["shorter_than_header", "short_payload", "extra_payload",
-                                    "bad_magic"])
+                                    "bad_magic", "huge_header"])
 def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
     from mflangevin import dynamics
     good = tmp_path / "good.bin"
     dynamics.write_samples(np.zeros((2, 5, 3)), good, temperature=1.0, dt=1e-3, seed=1)
     raw = good.read_bytes()
+    # a header that claims 2^40 frames is refused before anything is allocated
+    huge = dynamics._HEADER.pack(dynamics._MAGIC, 3, 1.0, 1e-3, 1, 2, 1 << 40)
     data = {"shorter_than_header": b"abc", "short_payload": raw[:-5],
-            "extra_payload": raw + bytes(8), "bad_magic": b"NOTSAMPL" + raw[8:]}[damage]
+            "extra_payload": raw + bytes(8), "bad_magic": b"NOTSAMPL" + raw[8:],
+            "huge_header": huge + raw[len(huge):]}[damage]
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
     code = run(command, "--samples", str(path), "--out", str(tmp_path / "o"))
@@ -238,6 +244,19 @@ def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
     assert err.startswith("i/o error:") and err.count("\n") == 1
     assert str(path) in err and str(len(data)) in err
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the code that uses it, so a subcommand that needs
+    # none of it does not pay its start-up time and memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, mflangevin.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_threads_flag_rejected(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +95,56 @@ def test_blowup_detected():
                            burn_in=0, seed=1, potential=PotentialSpec.quartic(0.0))
     with pytest.raises(NumericalBlowup):
         dy.simulate(cfg)
+
+
+def _diverging_drift(after_calls, value):
+    """Stand-in for ``_drift_fn``: a zero drift that returns ``value`` from
+    step ``after_calls`` on."""
+    calls = 0
+
+    def make(config):
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return np.full_like(x, value if calls > after_calls else 0.0)
+        return f
+
+    return make
+
+
+def test_blowup_after_last_block_start(monkeypatch):
+    # n=200, R=8 caps a block at 327 steps; the blow-up at step 350 comes
+    # after the last block start, so only the check on the kept states sees it
+    cfg = gaussian_config(n_particles=200, replicas=8, n_steps=400, thinning=10)
+    monkeypatch.setattr(dy, "_drift_fn", _diverging_drift(350, 1e300))
+    with pytest.raises(NumericalBlowup, match="admissible region"):
+        dy.simulate(cfg)
+    # a longer run meets it at the start of the next capped block
+    cfg = gaussian_config(n_particles=200, replicas=8, n_steps=700, thinning=10)
+    monkeypatch.setattr(dy, "_drift_fn", _diverging_drift(350, 1e300))
+    with pytest.raises(NumericalBlowup, match="at step 654"):
+        dy.simulate(cfg)
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_nan_in_kept_states_refused(monkeypatch, replicas):
+    cfg = gaussian_config(replicas=replicas, n_steps=300, thinning=10)
+    monkeypatch.setattr(dy, "_drift_fn", _diverging_drift(250, np.nan))
+    with pytest.raises(NumericalBlowup, match="admissible region"):
+        dy.simulate(cfg)
+
+
+def test_noise_memory_bounded():
+    # the noise buffer is capped at 4 MiB whatever the replica count, so the
+    # traced peak is the output plus a few MiB
+    cfg = gaussian_config(n_particles=1000, replicas=8, n_steps=600, burn_in=100)
+    tracemalloc.start()
+    try:
+        out = dy.simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * 2**20, (peak, out.nbytes)
 
 
 def test_stability_warning():
@@ -222,6 +274,11 @@ def _oracle_configs():
                      modes=md.xy_decomposition()),
         "xy_large_steps": cfg(replicas=8, **large),
         "xy_large_steps_r1": cfg(replicas=1, **large),
+        # R*n > 1024 caps a noise block below 512 steps: 65 steps at n=1000,
+        # R=8 and 262 at n=2000, R=1; burn-in and thinning cross its edges
+        "capped_r8": cfg(n_particles=1000, replicas=8, n_steps=200, potential=quartic),
+        "capped_r1": cfg(n_particles=2000, replicas=1, n_steps=600, potential=quartic),
+        "one_full_block": cfg(n_particles=30, replicas=2, n_steps=512, potential=quartic),
     }
 
 
@@ -515,6 +572,21 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back, s)
     assert meta == {"n": 7, "temperature": 1.5, "dt": 1e-3, "seed": 99,
                     "replicas": 3, "frames": 40}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_samples_from_pipe(tmp_path):
+    # a pipe reports no size before it is read
+    s = np.random.default_rng(9).standard_normal((2, 10, 3))
+    dy.write_samples(s, tmp_path / "s.bin", temperature=1.5, dt=1e-3, seed=99)
+    r, w = os.pipe()
+    os.write(w, (tmp_path / "s.bin").read_bytes())
+    os.close(w)
+    try:
+        back, meta = dy.read_samples(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert back.tobytes() == s.tobytes() and meta["frames"] == 10
 
 
 def test_csv_writer_limits(tmp_path):
