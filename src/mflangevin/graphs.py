@@ -176,14 +176,17 @@ def write_edge_list(g: GraphInstance, path) -> None:
 def read_edge_list(path) -> GraphInstance:
     """Inverse of `write_edge_list`.
 
-    Raises PreconditionError on a malformed header or line, d_eff outside
-    [0, n-1], or edges that are not distinct pairs 0 <= i < j < n.
+    Raises PreconditionError on a malformed header or line, an unknown kind,
+    d_eff outside [0, n-1], edges that are not distinct pairs 0 <= i < j < n,
+    or a regular graph with a vertex whose degree is not d_eff.
     """
     with open(path) as fh:
         header, _, body = fh.read().partition("\n")
     try:
         n, d_eff, kind, seed = header.split()
         n, d_eff, seed = int(n), float(d_eff), int(seed)
+        if kind not in ("regular", "erdos_renyi"):
+            raise ValueError(f"unknown graph kind {kind!r}")
         if not 0 <= d_eff <= n - 1:
             raise ValueError(f"d_eff = {d_eff} outside [0, n-1] for n = {n}")
         edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
@@ -196,6 +199,8 @@ def read_edge_list(path) -> GraphInstance:
         keys = np.sort(i * n + j)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicated edge")
+        if kind == "regular" and np.any(np.bincount(edges.ravel(), minlength=n) != d_eff):
+            raise ValueError(f"a vertex of the regular graph has degree other than {d_eff:g}")
     except ValueError as exc:
         raise PreconditionError(f"malformed edge list {path}: {exc}") from None
     return GraphInstance(n=n, edges=edges, kind=kind, d_eff=d_eff, seed=seed)

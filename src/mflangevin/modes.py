@@ -60,7 +60,10 @@ __all__ = [
 
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 500
-_TENSOR_BUDGET = 2**25  # entries of the largest un_small_n array: 256 MiB of float64
+# entries of the largest un_small_n array (256 MiB of float64) for N <= 3; for
+# N = 4, of the factor tensor it processes, _PAIR_BLOCK entries at a time
+_TENSOR_BUDGET = 2**25
+_PAIR_BLOCK = 2**18  # entries of the N = 4 factor tensor built at a time: 2 MiB of float64
 _UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
 
@@ -503,35 +506,54 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
     """log sum over node n-tuples (n = 2, 3, 4) of exp(lw summed over the tuple's
     pairs), for a symmetric lw that is overwritten.  n = 3, 4 sum an outer pair
     in the log domain over inner sums of products of factors <= 1, the rows
-    scaled by their maxima r.  Underflow moves an inner sum by at most `floor`
-    and by at most its true value, which (sum of square roots)^2 bounds; a sum
-    those bounds could move by more than _UNDERFLOW_REL is refused."""
+    scaled by their maxima r; n = 4 builds its (m, m, m) factor tensor
+    _PAIR_BLOCK entries at a time, so it never holds the whole tensor.
+    Underflow moves an inner sum by at most `floor` and by at most its true
+    value, which (sum of square roots)^2 bounds; a sum those bounds could move
+    by more than _UNDERFLOW_REL is refused."""
     if n == 2:
         return _log_sum_exp(lw)
     m_pts, r = len(lw), lw.max(axis=1)
     if n == 3:  # inner_ac = sum_b G_ab G_cb, G_ab = exp(lw_ab - r_a)
-        factors = [np.exp(lw - r[:, None])]
+        g = np.exp(lw - r[:, None])
         outer = np.add(lw, r[:, None], out=lw)
         outer += r
 
-        def contract(g):
+        def contract(root):
+            if root:
+                np.sqrt(g, out=g)
             return g @ g.T
     else:  # inner_ab = sum_cd A_c K_cd A_d, A_(ab),c = exp(lw_ac + lw_bc + r_c/2 - s_ab)
-        a = lw[:, None, :] + (lw + 0.5 * r)[None, :, :]
-        s = a.max(axis=2, keepdims=True)
-        a -= s
-        factors = [np.exp(a, out=a).reshape(-1, m_pts), np.exp(lw - 0.5 * (r[:, None] + r))]
-        outer = lw + 2.0 * s[:, :, 0]
+        half, k = lw + 0.5 * r, np.exp(lw - 0.5 * (r[:, None] + r))
+        s, outer = np.empty_like(lw), np.empty_like(lw)  # filled by the first contract
+        step = max(1, _PAIR_BLOCK // m_pts**2)
 
-        def contract(a, k):
-            return np.einsum("ij,ij->i", a @ k, a).reshape(m_pts, m_pts)
+        def contract(root):
+            if root:
+                np.sqrt(k, out=k)
+            inner = np.empty_like(lw)
+            for i in range(0, m_pts, step):
+                a = lw[i:i + step, None, :] + half  # the entries whose first index is in [i, i + step)
+                if not root:
+                    s[i:i + step] = a.max(axis=2)
+                    np.add(lw[i:i + step], 2.0 * s[i:i + step], out=outer[i:i + step])
+                a -= s[i:i + step, :, None]
+                a = np.exp(a, out=a).reshape(-1, m_pts)
+                if root:
+                    np.sqrt(a, out=a)
+                inner[i:i + step] = np.einsum("ij,ij->i", a @ k, a).reshape(-1, m_pts)
+            return inner
     floor = 4.0 * m_pts ** (n - 2) * np.finfo(float).smallest_subnormal
     log_tol = math.log(_UNDERFLOW_REL)
     with np.errstate(divide="ignore"):
-        log_e = _log_sum_exp(outer + np.log(contract(*factors)))
+        inner = contract(False)
+        np.log(inner, out=inner)
+        inner += outer
+        log_e = _log_sum_exp(inner)
+        del inner
         slack = _log_sum_exp(outer) + math.log(floor) - log_e
         if slack >= log_tol:
-            root = contract(*(np.sqrt(f, out=f) for f in factors))
+            root = contract(True)
             bound = np.minimum(math.log(floor), math.log(4.0) + 2.0 * np.log(root + floor))
             slack = _log_sum_exp(outer + bound) - log_e
     if not slack < log_tol:
@@ -557,7 +579,9 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     if len(decomp.pos_modes) > 1:
         raise Unsupported("at most one flat-convex mode is supported")
     m_pts = len(measure.nodes)
-    size = m_pts ** (1, 2, 2, 3)[n - 1]  # entries of the largest array allocated below
+    # entries of the largest array allocated below, or for N = 4 of the factor
+    # tensor that _log_pair_sum processes in blocks
+    size = m_pts ** (1, 2, 2, 3)[n - 1]
     if size > _TENSOR_BUDGET:
         raise GridExplosion(f"N={n} on {m_pts} nodes needs {size} entries > {_TENSOR_BUDGET}")
 

@@ -134,6 +134,8 @@ BAD_EDGE_LISTS = {
     "short_line": "4 1 regular 0\n0 1\n2\n",
     "long_line": "4 1 regular 0\n0 1 2\n",
     "non_integer": "4 1 regular 0\n0 x\n",
+    "unknown_kind": "4 1 ring 0\n0 1\n2 3\n",
+    "irregular": "4 3 regular 1\n0 1\n1 2\n",  # degrees [1 2 1 0], not 3
 }
 
 

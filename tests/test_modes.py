@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,8 +417,83 @@ def test_un_refuses_unresolved_pair_sum(gaussian_measure):
     with pytest.raises(ConsistencyCheckFailed, match="pair sum"):
         md.un_small_n(ModeField.from_vector([0.3, 0.4], d), 0.05, d, gaussian_measure, 3)
     x = np.linspace(-3.0, 3.0, 16)
-    with pytest.raises(ConsistencyCheckFailed, match="pair sum"):
-        md._log_pair_sum(-400.0 * (np.multiply.outer(x, x) + 0.2 * np.add.outer(x**2, x**2)), 3)
+    for n in (3, 4):
+        with pytest.raises(ConsistencyCheckFailed, match=f"N={n} pair sum"):
+            md._log_pair_sum(-400.0 * (np.multiply.outer(x, x)
+                                       + 0.2 * np.add.outer(x**2, x**2)), n)
+
+
+def _log_pair_sum_whole(lw, n):
+    """Reference N = 4 pair sum that holds the whole (m, m, m) factor tensor A
+    and its product with K; other n go to the module's own."""
+    if n != 4:
+        return md._log_pair_sum(lw, n)
+    m_pts, r = len(lw), lw.max(axis=1)
+    a = lw[:, None, :] + (lw + 0.5 * r)[None, :, :]
+    s = a.max(axis=2, keepdims=True)
+    a -= s
+    factors = [np.exp(a, out=a).reshape(-1, m_pts), np.exp(lw - 0.5 * (r[:, None] + r))]
+    outer = lw + 2.0 * s[:, :, 0]
+
+    def contract(a, k):
+        return np.einsum("ij,ij->i", a @ k, a).reshape(m_pts, m_pts)
+    floor = 4.0 * m_pts**2 * np.finfo(float).smallest_subnormal
+    log_tol = math.log(md._UNDERFLOW_REL)
+    with np.errstate(divide="ignore"):
+        log_e = md._log_sum_exp(outer + np.log(contract(*factors)))
+        slack = md._log_sum_exp(outer) + math.log(floor) - log_e
+        if slack >= log_tol:
+            root = contract(*(np.sqrt(f, out=f) for f in factors))
+            bound = np.minimum(math.log(floor), math.log(4.0) + 2.0 * np.log(root + floor))
+            slack = md._log_sum_exp(outer + bound) - log_e
+    if not slack < log_tol:
+        raise ConsistencyCheckFailed(f"N=4 pair sum unresolved: underflow bound e^{slack:.1f}")
+    return log_e
+
+
+def _three_row_blocks(monkeypatch, m_pts):
+    # blocks of 3 first indices: at least 3 of them, the last one shorter
+    assert m_pts >= 9 and m_pts % 3
+    monkeypatch.setattr(md, "_PAIR_BLOCK", 3 * m_pts**2)
+
+
+@pytest.mark.parametrize("T", [0.35, 1.0])
+def test_blocked_pair_sum_matches_whole_tensor_xy(T, xy, uniform_circle, monkeypatch):
+    psi = ModeField.from_vector([0.5, -0.2], xy)
+    _three_row_blocks(monkeypatch, len(uniform_circle.nodes))
+    got = md.un_small_n(psi, T, xy, uniform_circle, 4).u_n
+    monkeypatch.setattr(md, "_log_pair_sum", _log_pair_sum_whole)
+    want = md.un_small_n(psi, T, xy, uniform_circle, 4).u_n
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# the second case is accepted only by the square-root bound, the third is refused
+@pytest.mark.parametrize("c,scale", [(0.45, 10.0), (0.3, 200.0), (0.2, 400.0)])
+def test_blocked_pair_sum_matches_whole_tensor(c, scale, monkeypatch):
+    x = np.linspace(-3.0, 3.0, 16)
+    lw = -scale * (np.multiply.outer(x, x) + c * np.add.outer(x**2, x**2))
+    _three_row_blocks(monkeypatch, len(x))
+
+    def outcome(fn):
+        try:
+            return np.float64(fn(lw.copy(), 4)).tobytes()
+        except ConsistencyCheckFailed as exc:
+            return str(exc)
+    assert outcome(md._log_pair_sum) == outcome(_log_pair_sum_whole)
+
+
+def test_pair_sum_memory_bounded(xy, uniform_circle):
+    # N = 4 builds its (m, m, m) factor tensor in blocks of 2 MiB, so the 128-node
+    # circle stays far below the 2 m^3 doubles (32 MiB) of the whole tensor and
+    # its product with K
+    psi = ModeField.from_vector([0.5, -0.2], xy)
+    tracemalloc.start()
+    try:
+        md.un_small_n(psi, 0.35, xy, uniform_circle, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_un_budget(xy, uniform_circle, monkeypatch):
