@@ -533,7 +533,7 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
                 np.sqrt(k, out=k)
             inner = np.empty_like(lw)
             for i in range(0, m_pts, step):
-                a = lw[i:i + step, None, :] + half  # the entries whose first index is in [i, i + step)
+                a = lw[i:i + step, None, :] + half  # entries with first index in [i, i + step)
                 if not root:
                     s[i:i + step] = a.max(axis=2)
                     np.add(lw[i:i + step], 2.0 * s[i:i + step], out=outer[i:i + step])
@@ -550,7 +550,7 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
         np.log(inner, out=inner)
         inner += outer
         log_e = _log_sum_exp(inner)
-        del inner
+        del inner  # the bound pass below allocates inner sums of its own
         slack = _log_sum_exp(outer) + math.log(floor) - log_e
         if slack >= log_tol:
             root = contract(True)

@@ -425,9 +425,8 @@ def test_un_refuses_unresolved_pair_sum(gaussian_measure):
 
 def _log_pair_sum_whole(lw, n):
     """Reference N = 4 pair sum that holds the whole (m, m, m) factor tensor A
-    and its product with K; other n go to the module's own."""
-    if n != 4:
-        return md._log_pair_sum(lw, n)
+    and its product with K."""
+    assert n == 4
     m_pts, r = len(lw), lw.max(axis=1)
     a = lw[:, None, :] + (lw + 0.5 * r)[None, :, :]
     s = a.max(axis=2, keepdims=True)
