@@ -1,8 +1,9 @@
 """Batch command-line front-end.
 
-Every library operation is exposed as a subcommand that reads a flat INI
-config file (one section per subcommand, ``key = value``) overridden by
-flags, writes machine output into ``--out``, and records a JSON sidecar
+Every library operation is exposed as a subcommand whose settings come from
+a config file (a section of a flat INI file, a JSON object, or a previous
+run's sidecar) overridden by flags, all typed by one parser per schema kind.
+It writes machine output into ``--out`` and records a JSON sidecar
 ``{version, command, config, seed, outputs}`` alongside.  Re-running a
 command from its sidecar (``--config sidecar.json``) reproduces the output
 files byte for byte.
@@ -18,6 +19,7 @@ import configparser
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,59 +32,93 @@ _FLOAT_FMT = "%.17g"
 
 # -- config plumbing ---------------------------------------------------------------
 
-def _parse_value(raw: str, kind):
-    if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if kind == "floats":
-        raw = raw.strip()
-        return [float(v) for v in raw.split(",")] if raw else []
-    if kind == "ints":
-        raw = raw.strip()
-        return [int(v) for v in raw.split(",")] if raw else []
-    return kind(raw)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _number(value) -> bool:  # a JSON number; bool is an int subclass but not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return _number(value) and isinstance(value, int)
+
+
+def _list_of(item, fits):
+    return (lambda text: [item(v) for v in text.split(",")] if text.strip() else [],
+            lambda value: isinstance(value, list) and all(map(fits, value)))
+
+
+# schema kind -> (parser of a string, test of any other JSON value, what is expected);
+# a tuple of words is a kind too, whose value must be one of the words
+_KINDS = {
+    str: (str, lambda value: False, "a string"),
+    float: (float, _number, "a number"),
+    int: (int, _integer, "an integer"),
+    bool: (lambda text: _BOOL_WORDS[text.strip().lower()],
+           lambda value: isinstance(value, bool), "one of " + ", ".join(_BOOL_WORDS)),
+    "floats": (*_list_of(float, _number), "comma-separated numbers"),
+    "ints": (*_list_of(int, _integer), "comma-separated integers"),
+}
+
+
+def _typed(key: str, kind, raw):
+    """The one way from a raw config value (a flag, an INI entry or a JSON
+    value) to a value of its schema kind.  Strings go through the kind's
+    parser; any other JSON value must already have the kind's JSON type and
+    is kept as it is, so a rerun from a sidecar writes the same sidecar."""
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        expected = "one of " + ", ".join(kind)
+    else:
+        parse, fits, expected = _KINDS[kind]
+        if isinstance(raw, str):
+            try:
+                return parse(raw)
+            except (KeyError, ValueError):  # KeyError: not a bool word
+                pass
+        elif fits(raw):
+            return raw
+    raise PreconditionError(f"config key {key!r} must be {expected}, got {raw!r}")
+
+
+def _read_config(path: str, command: str) -> dict:
+    """Raw ``key: value`` pairs for ``command`` from a JSON config, a sidecar
+    or the command's section of an INI file."""
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+    except ValueError:
+        if text.lstrip().startswith("{"):
+            raise
+        ini = configparser.ConfigParser()
+        ini.optionxform = str  # keys are case-sensitive (T vs t)
+        try:
+            ini.read_string(text, source=path)
+            return dict(ini.items(command)) if ini.has_section(command) else {}
+        except configparser.Error as exc:
+            raise PreconditionError(" ".join(str(exc).split())) from None
+    if isinstance(raw, dict) and "command" in raw:
+        if raw["command"] != command:
+            raise PreconditionError(f"sidecar is for {raw['command']!r}, not {command!r}")
+        raw = raw.get("config")
+    if not isinstance(raw, dict):
+        raise PreconditionError(f"{path}: the config is not a JSON object")
+    return raw
 
 
 def _resolve_config(command: str, schema: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file (INI section or sidecar JSON) < explicit flags."""
+    """defaults < config file < explicit flags, every value typed by ``_typed``."""
     config = {key: default for key, (_, default) in schema.items()}
-    path = getattr(args, "config", None)
-    if path:
-        text = Path(path).read_text()
-        if text.lstrip().startswith("{"):
-            raw = json.loads(text)
-            if "command" in raw:
-                if raw["command"] != command:
-                    raise PreconditionError(
-                        f"sidecar is for {raw['command']!r}, not {command!r}")
-                raw = raw["config"]
-            for key, value in raw.items():
-                if key not in schema:
-                    raise PreconditionError(f"unknown config key {key!r} for {command}")
-                config[key] = value
-        else:
-            parser = configparser.ConfigParser()
-            parser.optionxform = str  # keys are case-sensitive (T vs t)
-            parser.read_string(text)
-            if parser.has_section(command):
-                for key, raw_val in parser.items(command):
-                    if key not in schema:
-                        raise PreconditionError(f"unknown config key {key!r} for {command}")
-                    config[key] = _parse_value(raw_val, schema[key][0])
-    for key in schema:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            config[key] = flag
+    raw = _read_config(args.config, command) if args.config else {}
+    raw.update((key, flag) for key, flag in vars(args).items()
+               if key in schema and flag is not None)
+    for key, value in raw.items():
+        if key not in schema:
+            raise PreconditionError(f"unknown config key {key!r} for {command}")
+        config[key] = _typed(key, schema[key][0], value)
     return config
-
-
-def _write_sidecar(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
-    _write_json(out_dir / "sidecar.json", {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "seed": config.get("seed"),
-        "outputs": outputs,
-    })
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -107,26 +143,23 @@ def _potential_from_config(config: dict) -> quad1d.PotentialSpec:
         return quad1d.PotentialSpec.gaussian(config["curvature"])
     if kind == "periodic_fourier":
         return quad1d.PotentialSpec.periodic_fourier(config["coefficients"])
-    if kind == "tabulated":
-        if not config.get("file"):
-            raise PreconditionError("tabulated potential needs file=<csv of x,V>")
-        data = np.loadtxt(config["file"], delimiter=",")
-        return quad1d.PotentialSpec.tabulated(data[:, 0], data[:, 1])
-    raise PreconditionError(f"unknown potential kind {kind!r}")
+    if not config["file"]:
+        raise PreconditionError("tabulated potential needs file=<csv of x,V>")
+    data = np.loadtxt(config["file"], delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise PreconditionError(f"tabulated potential file {config['file']} needs "
+                                f"two columns x,V, not {data.shape[1]}")
+    return quad1d.PotentialSpec.tabulated(data[:, 0], data[:, 1])
 
 
 def _measure_from_config(config: dict) -> quad1d.LineMeasure:
     return quad1d.build_measure(_potential_from_config(config), config["tol"])
 
 
-_POTENTIAL_SCHEMA = {
-    "potential": (str, "quartic"),
-    "lam": (float, 0.0),
-    "curvature": (float, 1.0),
-    "coefficients": ("floats", []),
-    "file": (str, ""),
-    "tol": (float, 1e-10),
-}
+_POTENTIALS = ("quartic", "gaussian", "periodic_fourier", "tabulated")
+_POTENTIAL_SCHEMA = {"potential": (_POTENTIALS, "quartic"), "lam": (float, 0.0),
+                     "curvature": (float, 1.0), "coefficients": ("floats", []),
+                     "file": (str, ""), "tol": (float, 1e-10)}
 
 
 # -- subcommand handlers --------------------------------------------------------------
@@ -153,11 +186,13 @@ def _cmd_scan_vt(config, out_dir):
     return ["renorm.csv", "renorm.json"]
 
 
-def _cmd_free_energy(config, out_dir):
-    measure = _measure_from_config(config)
-    T = config["T"]
+def _free_energy_table(config):
     m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
-    table = renormalized.coarse_free_energy(measure, T, m_grid)
+    return renormalized.coarse_free_energy(_measure_from_config(config), config["T"], m_grid)
+
+
+def _cmd_free_energy(config, out_dir):
+    T, table = config["T"], _free_energy_table(config)
     _write_csv(out_dir / "free_energy.csv", ["m", "fhat"],
                zip(table.m_grid, table.values))
     _write_json(out_dir / "free_energy.json", {"T": T, "points": int(config["points"])})
@@ -166,32 +201,29 @@ def _cmd_free_energy(config, out_dir):
 
 
 def _cmd_pl(config, out_dir):
-    measure = _measure_from_config(config)
-    T = config["T"]
-    m_grid = np.linspace(config["m_min"], config["m_max"], config["points"])
-    table = renormalized.coarse_free_energy(measure, T, m_grid)
-    gamma = renormalized.pl_constant(table)
+    T, gamma = config["T"], renormalized.pl_constant(_free_energy_table(config))
     _write_json(out_dir / "pl.json", {"T": T, "pl_constant": gamma})
     print(f"PL constant at T = {T:.6g}: {gamma:.6g}")
     return ["pl.json"]
 
 
 def _cmd_modes_decompose(config, out_dir):
+    kernel = config["kernel_coefficients"]
     if config["kernel_file"]:
-        data = np.loadtxt(config["kernel_file"], delimiter=",")
-        decomp = modes.fourier_decompose(list(data.ravel()), config["max_frequency"],
-                                         config["tol"])
-    else:
-        decomp = modes.fourier_decompose(config["kernel_coefficients"],
-                                         config["max_frequency"], config["tol"])
+        kernel = list(np.loadtxt(config["kernel_file"], delimiter=",").ravel())
+    decomp = modes.fourier_decompose(kernel, config["max_frequency"], config["tol"])
     (out_dir / "decomposition.json").write_text(decomp.to_json() + "\n")
     print(f"{len(decomp.neg_modes)} mode(s) / {len(decomp.pos_modes)} flat-convex, "
           f"M = {decomp.m_bound:.6g}, L = {decomp.l_bound:.6g}")
     return ["decomposition.json"]
 
 
+def _decomposition(path: str) -> modes.ModeDecomposition:
+    return modes.ModeDecomposition.from_json(Path(path).read_text())
+
+
 def _cmd_scan_convexity(config, out_dir):
-    decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
+    decomp = _decomposition(config["decomposition"])
     measure = _measure_from_config(config)
     region = [(-config["radius"], config["radius"])] * decomp.dim
     scan = modes.strong_convexity_scan(config["T"], decomp, measure, region, config["grid"])
@@ -207,19 +239,15 @@ def _cmd_scan_convexity(config, out_dir):
 
 def _cmd_xy_check(config, out_dir):
     report = modes.xy_check(config["T"], radius=config["radius"], grid=config["grid"])
-    _write_json(out_dir / "xy_check.json", {
-        "T": config["T"], "bound": report.bound,
-        "measured_min_eig": report.measured_min_eig, "convex": report.convex})
+    _write_json(out_dir / "xy_check.json", {"T": config["T"], **asdict(report)})
     print(f"T = {config['T']:.6g}: bound {report.bound:.5f}, "
           f"measured {report.measured_min_eig:.5f}, convex = {report.convex}")
     return ["xy_check.json"]
 
 
 def _cmd_un_gap(config, out_dir):
-    if config["decomposition"]:
-        decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
-    else:
-        decomp = modes.xy_decomposition()
+    decomp = (_decomposition(config["decomposition"]) if config["decomposition"]
+              else modes.xy_decomposition())
     measure = _measure_from_config(config)
     psi = modes.ModeField.from_vector(config["psi"], decomp)
     rows = []
@@ -236,11 +264,11 @@ def _cmd_un_gap(config, out_dir):
 
 def _cmd_graph_gen(config, out_dir):
     if config["kind"] == "regular":
+        if config["d"] % 1:  # also true for inf and nan
+            raise PreconditionError(f"a regular graph needs an integral d, not {config['d']!r}")
         g = graphs.gen_rrg(config["n"], int(config["d"]), config["seed"])
-    elif config["kind"] == "erdos_renyi":
-        g = graphs.gen_er(config["n"], config["d"], config["seed"])
     else:
-        raise PreconditionError(f"unknown graph kind {config['kind']!r}")
+        g = graphs.gen_er(config["n"], config["d"], config["seed"])
     graphs.write_edge_list(g, out_dir / "graph.edges")
     print(f"{config['kind']} graph: n = {g.n}, {len(g.edges)} edges")
     return ["graph.edges"]
@@ -249,56 +277,36 @@ def _cmd_graph_gen(config, out_dir):
 def _cmd_graph_spectrum(config, out_dir):
     g = graphs.read_edge_list(config["graph"])
     report = graphs.spectral_report(g)
-    _write_json(out_dir / "spectrum.json", {
-        "epsilon": report.epsilon, "top_singular": report.top_singular,
-        "iterations": report.iterations, "residual": report.residual})
+    _write_json(out_dir / "spectrum.json", asdict(report))
     print(f"epsilon = {report.epsilon:.6g} (top singular {report.top_singular:.6g}, "
           f"{report.iterations} iterations)")
     return ["spectrum.json"]
 
 
-def _sim_config(config) -> dynamics.SimConfig:
-    topology = "complete"
-    if config["graph"]:
-        topology = graphs.read_edge_list(config["graph"])
-    decomp = None
-    if config["decomposition"]:
-        decomp = modes.ModeDecomposition.from_json(Path(config["decomposition"]).read_text())
-    return dynamics.SimConfig(
+def _cmd_simulate(config, out_dir):
+    topology = graphs.read_edge_list(config["graph"]) if config["graph"] else "complete"
+    decomp = _decomposition(config["decomposition"]) if config["decomposition"] else None
+    sim = dynamics.SimConfig(
         n_particles=config["n"], temperature=config["T"], dt=config["dt"],
         n_steps=config["steps"], burn_in=config["burn_in"], seed=config["seed"],
         thinning=config["thinning"], replicas=config["replicas"],
         topology=topology, potential=_potential_from_config(config),
         modes=decomp, no_interaction=config["no_interaction"])
-
-
-def _cmd_simulate(config, out_dir):
-    sim = _sim_config(config)
     samples = dynamics.simulate(sim)
+    name = "samples.csv" if config["format"] == "csv" else "samples.bin"
     if config["format"] == "csv":
-        dynamics.write_samples_csv(samples, out_dir / "samples.csv")
-        out = ["samples.csv"]
+        dynamics.write_samples_csv(samples, out_dir / name)
     else:
-        dynamics.write_samples(samples, out_dir / "samples.bin",
+        dynamics.write_samples(samples, out_dir / name,
                                temperature=sim.temperature, dt=sim.dt, seed=sim.seed)
-        out = ["samples.bin"]
     print(f"simulated {sim.replicas} replica(s) x {sim.n_kept} kept states of n = {sim.n_particles}")
-    return out
+    return [name]
 
 
 def _cmd_estimate(config, out_dir):
     samples, meta = dynamics.read_samples(config["samples"])
     report = dynamics.estimate(samples, subtract_mean=config["subtract_mean"])
-    payload = {
-        "chi": report.chi, "chi_stderr": report.chi_stderr,
-        "mean_magnetisation": report.mean_magnetisation,
-        "abs_magnetisation": report.abs_magnetisation,
-        "gap_upper_chi": report.gap_upper_chi,
-        "gap_upper_plateau": report.gap_upper_plateau,
-        "samples_used": report.samples_used,
-        "input_meta": meta,
-    }
-    _write_json(out_dir / "estimate.json", payload)
+    _write_json(out_dir / "estimate.json", {**asdict(report), "input_meta": meta})
     print(f"chi = {report.chi:.6g} +- {report.chi_stderr:.2g}, "
           f"gap upper bound 1/chi = {report.gap_upper_chi:.6g}")
     return ["estimate.json"]
@@ -308,11 +316,8 @@ def _cmd_plateau_bound(config, out_dir):
     samples, _ = dynamics.read_samples(config["samples"])
     if config["symmetrize"]:
         samples = dynamics.symmetrize(samples)
-    bound = dynamics.plateau_gap_bound(samples, config["m_plus"], config["delta"],
-                                       config["r"])
-    _write_json(out_dir / "plateau.json", {
-        "bound": bound.bound, "stderr": bound.stderr, "n_window": bound.n_window,
-        "n_plus": bound.n_plus, "n_minus": bound.n_minus, "flag": bound.flag})
+    bound = dynamics.plateau_gap_bound(samples, config["m_plus"], config["delta"])
+    _write_json(out_dir / "plateau.json", asdict(bound))
     print(f"plateau gap bound = {bound.bound:.6g} "
           f"(window visits {bound.n_window}, flag {bound.flag})")
     return ["plateau.json"]
@@ -322,11 +327,7 @@ def _cmd_cov_check(config, out_dir):
     report = dynamics.covariance_bound_check(config["n"], config["seed"],
                                              n_samples=config["samples"],
                                              n_pairs=config["pairs"])
-    _write_json(out_dir / "cov_check.json", {
-        "n": report.n, "samples": report.samples,
-        "worst_ratio": report.worst_ratio,
-        "worst_ratio_stderr": report.worst_ratio_stderr,
-        "ratios": list(report.ratios), "stderrs": list(report.stderrs)})
+    _write_json(out_dir / "cov_check.json", asdict(report))
     print(f"worst covariance ratio = {report.worst_ratio:.4f} "
           f"+- {report.worst_ratio_stderr:.4f} (bound 1)")
     return ["cov_check.json"]
@@ -345,28 +346,28 @@ _COMMANDS = {
         "kernel_coefficients": ("floats", [1.0]), "kernel_file": (str, ""),
         "max_frequency": (int, 8), "tol": (float, 1e-8)}),
     "scan-convexity": (_cmd_scan_convexity, {
-        **_POTENTIAL_SCHEMA, "potential": (str, "periodic_fourier"),
+        **_POTENTIAL_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
         "decomposition": (str, ""), "T": (float, 1.0), "radius": (float, 6.0),
         "grid": (int, 41)}),
     "xy-check": (_cmd_xy_check, {"T": (float, 1.0), "radius": (float, 6.0),
                                  "grid": (int, 41)}),
     "un-gap": (_cmd_un_gap, {
-        **_POTENTIAL_SCHEMA, "potential": (str, "periodic_fourier"),
+        **_POTENTIAL_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
         "decomposition": (str, ""), "T": (float, 1.0), "psi": ("floats", [0.5, 0.0]),
         "n_values": ("ints", [1, 2, 4])}),
-    "graph-gen": (_cmd_graph_gen, {"kind": (str, "regular"), "n": (int, 1000),
-                                   "d": (float, 20), "seed": (int, 1)}),
+    "graph-gen": (_cmd_graph_gen, {"kind": (("regular", "erdos_renyi"), "regular"),
+                                   "n": (int, 1000), "d": (float, 20), "seed": (int, 1)}),
     "graph-spectrum": (_cmd_graph_spectrum, {"graph": (str, "")}),
     "simulate": (_cmd_simulate, {
         **_POTENTIAL_SCHEMA, "n": (int, 100), "T": (float, 2.0), "dt": (float, 1e-3),
         "steps": (int, 200_000), "burn_in": (int, 20_000), "thinning": (int, 10),
         "replicas": (int, 1), "seed": (int, 1), "graph": (str, ""),
         "decomposition": (str, ""), "no_interaction": (bool, False),
-        "format": (str, "binary")}),
+        "format": (("binary", "csv"), "binary")}),
     "estimate": (_cmd_estimate, {"samples": (str, ""), "subtract_mean": (bool, False)}),
     "plateau-bound": (_cmd_plateau_bound, {
         "samples": (str, ""), "m_plus": (float, 1.0), "delta": (float, 0.2),
-        "r": (float, 0.0), "symmetrize": (bool, True)}),
+        "symmetrize": (bool, True)}),
     "cov-check": (_cmd_cov_check, {"n": (int, 5), "seed": (int, 1),
                                    "samples": (int, 1_000_000), "pairs": (int, 10)}),
 }
@@ -383,15 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, (kind, _) in schema.items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-            elif kind == "floats":
-                p.add_argument(flag, dest=key, default=None,
-                               type=lambda s: [float(v) for v in s.split(",") if v.strip()])
-            elif kind == "ints":
-                p.add_argument(flag, dest=key, default=None,
-                               type=lambda s: [int(v) for v in s.split(",") if v.strip()])
-            else:
-                p.add_argument(flag, dest=key, type=kind, default=None)
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:  # plain text, typed with file values by _resolve_config
+                p.add_argument(flag, dest=key)
     return parser
 
 
@@ -408,7 +403,9 @@ def run(argv: list[str]) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = handler(config, out_dir)
-        _write_sidecar(out_dir, args.command, config, outputs)
+        _write_json(out_dir / "sidecar.json", {
+            "version": __version__, "command": args.command, "config": config,
+            "seed": config.get("seed"), "outputs": outputs})
         return 0
     except (PreconditionError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

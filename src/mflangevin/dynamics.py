@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e6
+_BATCHES = 20  # batch count of every batch-means standard error
 _NOISE_BLOCK = 512  # steps per noise block at most
 _NOISE_BYTES = 1 << 22  # bytes per noise block at most
 _MAGIC = b"MFLSAMP1"
@@ -120,8 +121,7 @@ class Susceptibility:
 class PlateauBound:
     """Rayleigh-quotient upper bound on the spectral gap from the two-plateau
     test function of the empirical mean.  The quotient is invariant under the
-    plateau height scale, so it is computed with unit plateaus regardless of
-    the rate parameter."""
+    plateau height scale, so it is computed with unit plateaus."""
 
     bound: float
     stderr: float
@@ -287,11 +287,11 @@ def _as_replica_array(samples: np.ndarray) -> np.ndarray:
     return s
 
 
-def _batch_stderr(values: np.ndarray, batches: int = 20) -> float:
+def _batch_stderr(values: np.ndarray) -> float:
     """Batch-means standard error over the time axis of (replicas, n_kept)."""
     r, n = values.shape
-    size = n // batches
-    trimmed = values[:, : size * batches].reshape(r, batches, size)
+    size = n // _BATCHES
+    trimmed = values[:, : size * _BATCHES].reshape(r, _BATCHES, size)
     means = trimmed.mean(axis=2).ravel()
     return float(np.std(means, ddof=1) / np.sqrt(len(means)))
 
@@ -342,8 +342,7 @@ def symmetrize(samples: np.ndarray) -> np.ndarray:
     return np.concatenate([s, -s], axis=0)
 
 
-def plateau_gap_bound(samples: np.ndarray, m_plus: float, delta: float,
-                      r: float = 0.0) -> PlateauBound:
+def plateau_gap_bound(samples: np.ndarray, m_plus: float, delta: float) -> PlateauBound:
     """Rayleigh-quotient gap bound from the two-plateau test function.
 
     The test function depends on the empirical mean u: constant on
@@ -353,8 +352,8 @@ def plateau_gap_bound(samples: np.ndarray, m_plus: float, delta: float,
     otherwise); an empty window with both plateaus visited reports bound 0
     with a flag rather than failing.
     """
-    if m_plus <= 0 or delta <= 0 or r < 0:
-        raise ValueError("need m_plus > 0, delta > 0, r >= 0")
+    if m_plus <= 0 or delta <= 0:
+        raise ValueError("need m_plus > 0, delta > 0")
     if 3.0 * delta > 2.0 * m_plus + 1e-12:
         raise ValueError("well separation requires 3*delta <= 2*m_plus")
     s = _as_replica_array(samples)
@@ -384,8 +383,7 @@ def plateau_gap_bound(samples: np.ndarray, m_plus: float, delta: float,
 
 # -- covariance inequality check -----------------------------------------------------
 
-def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator,
-                     n_samples: int, batches: int = 20):
+def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator, n_samples: int):
     """Empirical check of cov(F^2, H)^2 <= 4 sup|grad H|^2 E[F^2] E[|grad F|^2]
     under the standard Gaussian product measure (log-Sobolev constant 1).
 
@@ -393,12 +391,14 @@ def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator,
     (F(x), |grad F(x)|^2), one value of each per row, so F and its gradient
     can share their work; h_pair = (H, sup_grad_sq) with H vectorised the
     same way.  Returns (ratio, stderr) where ratio is the left side over the
-    right side.
+    right side, pooled over equal batches and with their batch-means error.
     """
+    if n_samples < _BATCHES:
+        raise ValueError(f"need at least {_BATCHES} samples, one per batch, got {n_samples}")
     h_fn, sup_grad_sq = h_pair
-    per = n_samples // batches
-    stats = np.zeros((batches, 4))  # E[F^2], E[|grad F|^2], E[F^2 H], E[H]
-    for b in range(batches):
+    per = n_samples // _BATCHES
+    stats = np.zeros((_BATCHES, 4))  # E[F^2], E[|grad F|^2], E[F^2 H], E[H]
+    for b in range(_BATCHES):
         x = rng.standard_normal((per, n))
         f, g2 = f_fn(x)
         f2 = f ** 2
@@ -413,7 +413,7 @@ def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator,
 
     pooled = ratio_of(stats.mean(axis=0))
     per_batch = np.array([ratio_of(row) for row in stats])
-    return pooled, float(np.std(per_batch, ddof=1) / np.sqrt(batches))
+    return pooled, float(np.std(per_batch, ddof=1) / np.sqrt(_BATCHES))
 
 
 def _coord_sum(a: np.ndarray) -> np.ndarray:
@@ -499,8 +499,8 @@ def covariance_bound_check(n: int, seed: int, n_samples: int = 1_000_000,
                            n_pairs: int = 10) -> CovarianceCheckReport:
     """Monte-Carlo check of the covariance inequality on the Gaussian product
     measure for a family of random windowed polynomials F and Lipschitz H."""
-    if n > 20:
-        raise ValueError("check supports n <= 20")
+    if not 1 <= n <= 20:
+        raise ValueError(f"check supports 1 <= n <= 20, got n = {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
     ratios, stderrs = [], []
     for i in range(n_pairs):

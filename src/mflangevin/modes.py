@@ -188,18 +188,40 @@ class ModeDecomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "ModeDecomposition":
+        """Inverse of ``to_json``; a missing key or a wrongly shaped entry
+        raises ValueError naming it."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("a decomposition must be a JSON object {alpha, neg, pos, M, L}")
 
-        def dec(items):
+        def number(where: str, value, kind=float):
+            allowed = int if kind is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"decomposition entry {where} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+            return kind(value)
+
+        def dec(part: str):
+            if not isinstance(raw[part], list):
+                raise ValueError(f"decomposition entry {part} must be a list of modes")
             modes = []
-            for it in items:
+            for i, it in enumerate(raw[part]):
+                where = f"{part}[{i}]"
+                if not (isinstance(it, dict) and {"w", "kind", "k"} <= it.keys()):
+                    raise ValueError(f"decomposition entry {where} must be {{w, kind, k}}, "
+                                     f"got {it!r}")
                 if it["kind"] not in ("cos", "sin"):
-                    raise ValueError(f"cannot deserialise mode kind {it['kind']!r}")
-                modes.append(Mode(weight=float(it["w"]), kind=it["kind"], k=int(it["k"])))
+                    raise ValueError(f"cannot deserialise mode kind {it['kind']!r} at {where}")
+                modes.append(Mode(weight=number(f"{where}.w", it["w"]), kind=it["kind"],
+                                  k=number(f"{where}.k", it["k"], int)))
             return tuple(modes)
-        return cls(alpha=float(raw["alpha"]), neg_modes=dec(raw["neg"]),
-                   pos_modes=dec(raw["pos"]), m_bound=float(raw["M"]),
-                   l_bound=float(raw["L"]))
+
+        missing = [key for key in ("alpha", "neg", "pos", "M", "L") if key not in raw]
+        if missing:
+            raise ValueError(f"decomposition lacks {', '.join(missing)}")
+        return cls(alpha=number("alpha", raw["alpha"]), neg_modes=dec("neg"),
+                   pos_modes=dec("pos"), m_bound=number("M", raw["M"]),
+                   l_bound=number("L", raw["L"]))
 
 
 @dataclass(frozen=True)

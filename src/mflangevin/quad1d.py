@@ -46,6 +46,7 @@ CIRCLE = "circle"
 _TAIL_GAP = 40.0
 _MAX_WIDENINGS = 60
 _MAX_REFINEMENTS = 12
+_GHS_GRID = 512  # test points of the class check on [0, half width] and on the domain
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class PotentialSpec:
 
     kind: str
     domain: str
-    ghs_claimed: bool = False
     lam: float | None = None
     curvature: float | None = None
     coefficients: tuple[float, ...] | None = None
@@ -93,13 +93,12 @@ class PotentialSpec:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def quartic(cls, lam: float, ghs_claimed: bool = True) -> "PotentialSpec":
-        return cls(kind="quartic", domain=REAL_LINE, ghs_claimed=ghs_claimed, lam=float(lam))
+    def quartic(cls, lam: float) -> "PotentialSpec":
+        return cls(kind="quartic", domain=REAL_LINE, lam=float(lam))
 
     @classmethod
-    def gaussian(cls, curvature: float, ghs_claimed: bool = True) -> "PotentialSpec":
-        return cls(kind="gaussian", domain=REAL_LINE, ghs_claimed=ghs_claimed,
-                   curvature=float(curvature))
+    def gaussian(cls, curvature: float) -> "PotentialSpec":
+        return cls(kind="gaussian", domain=REAL_LINE, curvature=float(curvature))
 
     @classmethod
     def periodic_fourier(cls, coefficients: Sequence[float]) -> "PotentialSpec":
@@ -107,9 +106,8 @@ class PotentialSpec:
                    coefficients=tuple(float(c) for c in coefficients))
 
     @classmethod
-    def tabulated(cls, nodes: Sequence[float], values: Sequence[float],
-                  ghs_claimed: bool = False) -> "PotentialSpec":
-        return cls(kind="tabulated", domain=REAL_LINE, ghs_claimed=ghs_claimed,
+    def tabulated(cls, nodes: Sequence[float], values: Sequence[float]) -> "PotentialSpec":
+        return cls(kind="tabulated", domain=REAL_LINE,
                    table_nodes=tuple(float(x) for x in nodes),
                    table_values=tuple(float(v) for v in values))
 
@@ -437,7 +435,7 @@ def expectation(measure: LineMeasure, f: Callable[[np.ndarray], np.ndarray],
     return float(np.sum(p[0] * f(work.nodes)))
 
 
-def check_ghs(spec: PotentialSpec, grid_points: int = 512) -> GhsReport:
+def check_ghs(spec: PotentialSpec) -> GhsReport:
     """Check membership in the even, convex-derivative potential class.
 
     Passes iff (a) V is even to 1e-10 on the test grid, (b) the finite
@@ -447,12 +445,10 @@ def check_ghs(spec: PotentialSpec, grid_points: int = 512) -> GhsReport:
     """
     if spec.domain != REAL_LINE:
         raise ValueError("class check applies to real-line potentials only")
-    if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
 
     lo, hi = _find_bounds(spec)
     half = max(abs(lo), abs(hi))
-    xs = np.linspace(0.0, half, grid_points)
+    xs = np.linspace(0.0, half, _GHS_GRID)
 
     even_gap = np.abs(spec.value(xs) - spec.value(-xs))
     is_even = bool(np.max(even_gap) < 1e-10 * max(1.0, float(np.max(np.abs(spec.value(xs))))))
@@ -474,7 +470,7 @@ def check_ghs(spec: PotentialSpec, grid_points: int = 512) -> GhsReport:
     if not derivative_convex and first_violation is None:
         first_violation = float(inner[1:][int(np.argmax(drops))])
 
-    v_all = spec.value(np.linspace(lo, hi, grid_points))
+    v_all = spec.value(np.linspace(lo, hi, _GHS_GRID))
     confining = bool(float(spec.value(np.array([hi]))[0]) > float(np.min(v_all)) + 10.0
                      and float(spec.value(np.array([lo]))[0]) > float(np.min(v_all)) + 10.0)
     if not confining and first_violation is None:

@@ -81,11 +81,10 @@ def _dv_scalar(measure: LineMeasure, T: float, phi: float) -> float:
     return phi / T - tilt_moments(measure, phi / T, max_power=2).mean / T
 
 
-def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801,
-                  start: float = 2.0) -> np.ndarray:
-    """Symmetric grid [-W, W] widened until |v'| increases outward at both ends,
-    which guarantees every stationary point is interior."""
-    w = start
+def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarray:
+    """Symmetric grid [-W, W], from W = 2 widened until |v'| increases outward
+    at both ends, which guarantees every stationary point is interior."""
+    w = 2.0
     for _ in range(40):
         probe = np.linspace(-w, w, 9)
         _, mean, _ = tilt_table(measure, probe / T)

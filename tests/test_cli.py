@@ -291,3 +291,178 @@ def test_writes_stay_inside_out(tmp_path, monkeypatch):
                "--out", str(out)) == 0
     assert os.listdir(work) == []
     assert sorted(os.listdir(out)) == ["sidecar.json", "tc.json"]
+
+
+# -- config values: one typed parse for flags, INI entries and JSON values ----------
+
+SMALL_SIM = ["--n", "4", "--steps", "10", "--burn-in", "0"]
+
+
+def assert_refused(code, err, *needles):
+    assert code == 2
+    assert err.startswith("precondition violation:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_ini_without_section_header_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("T = 1.0\ngrid = 5\n")
+    code = run("xy-check", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "no section headers")
+
+
+def test_json_config_not_an_object_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[1, 2]\n")
+    code = run("xy-check", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "not a JSON object")
+
+
+def test_sidecar_config_not_an_object_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("xy-check", "--T", "1.0", "--grid", "5", "--out", str(out)) == 0
+    side = read_json(out / "sidecar.json")
+    side["config"] = [["T", 1.0]]
+    (out / "sidecar.json").write_text(json.dumps(side))
+    capsys.readouterr()
+    code = run("xy-check", "--config", str(out / "sidecar.json"), "--out", str(tmp_path / "p"))
+    assert_refused(code, capsys.readouterr().err, "not a JSON object")
+
+
+# (command, extra flags, key, wrongly typed JSON value), one or more per schema kind
+BAD_JSON_VALUES = {
+    "float_text": ("tc", [], "tol", "abc"),
+    "float_bool": ("xy-check", ["--grid", "5"], "T", True),
+    "int_float": ("xy-check", [], "grid", 5.0),
+    "floats_item_text": ("un-gap", ["--n-values", "1"], "psi", [0.5, "0"]),
+    "ints_not_list": ("un-gap", [], "n_values", 2),
+    "bool_number": ("simulate", SMALL_SIM, "no_interaction", 1),
+    "choice_list": ("simulate", SMALL_SIM, "format", ["csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_JSON_VALUES))
+def test_wrongly_typed_json_value_exit_2(tmp_path, capsys, name):
+    command, extra, key, value = BAD_JSON_VALUES[name]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = run(command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, repr(key))
+
+
+def test_unknown_bool_word_in_ini_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[simulate]\nno_interaction = maybe\n")
+    code = run("simulate", "--config", str(cfg), *SMALL_SIM, "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "'no_interaction'")
+
+
+def test_empty_list_item_refused_alike_from_flag_and_ini(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[un-gap]\npsi = 0.5,,0\n")
+    errors = []
+    for source in (["--psi", "0.5,,0"], ["--config", str(cfg)]):
+        code = run("un-gap", *source, "--n-values", "1", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert_refused(code, err, "'psi'")
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+def test_unknown_format_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run("simulate", *SMALL_SIM, "--format", "xml", "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "'format'", "binary, csv")
+    assert not out.exists()
+
+
+def test_old_sidecar_with_r_exit_2(tmp_path, capsys):
+    from mflangevin import dynamics
+    samples = tmp_path / "s.bin"
+    dynamics.write_samples(np.ones((1, 40, 3)), samples, temperature=1.0, dt=1e-3, seed=1)
+    old = tmp_path / "sidecar.json"
+    old.write_text(json.dumps({
+        "version": "0", "command": "plateau-bound", "seed": None, "outputs": ["plateau.json"],
+        "config": {"samples": str(samples), "m_plus": 1.0, "delta": 0.2, "r": 0.0,
+                   "symmetrize": True}}))
+    code = run("plateau-bound", "--config", str(old), "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "unknown config key 'r'")
+
+
+def test_json_bool_word_false_keeps_interaction(tmp_path):
+    flags = ["--potential", "quartic", "--lam", "1", "--n", "8", "--steps", "200",
+             "--burn-in", "0", "--seed", "3"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"no_interaction": "false"}))
+    interacting, from_json, free = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run("simulate", *flags, "--out", str(interacting)) == 0
+    assert run("simulate", "--config", str(cfg), *flags, "--out", str(from_json)) == 0
+    assert run("simulate", *flags, "--no-interaction", "--out", str(free)) == 0
+    data = (interacting / "samples.bin").read_bytes()
+    assert (from_json / "samples.bin").read_bytes() == data
+    assert (free / "samples.bin").read_bytes() != data
+    assert read_json(from_json / "sidecar.json")["config"]["no_interaction"] is False
+
+
+def test_json_text_values_parse_like_flags(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"T": "0.6", "grid": "5"}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("xy-check", "--config", str(cfg), "--out", str(a)) == 0
+    assert run("xy-check", "--T", "0.6", "--grid", "5", "--out", str(b)) == 0
+    for name in ("xy_check.json", "sidecar.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# -- refused sizes and files ---------------------------------------------------------
+
+BAD_DECOMPOSITIONS = {
+    "not_json": "{",
+    "not_object": "[1, 2]",
+    "missing_alpha": '{"neg": [], "pos": [], "M": 1.0, "L": 1.0}',
+    "missing_pos": '{"alpha": 0.0, "neg": [], "M": 1.0, "L": 1.0}',
+    "alpha_text": '{"alpha": "x", "neg": [], "pos": [], "M": 1.0, "L": 1.0}',
+    "neg_not_list": '{"alpha": 0.0, "neg": 3, "pos": [], "M": 1.0, "L": 1.0}',
+    "mode_not_object": '{"alpha": 0.0, "neg": [1.0], "pos": [], "M": 1.0, "L": 1.0}',
+    "mode_without_k": '{"alpha": 0.0, "neg": [{"w": 1.0, "kind": "cos"}], "pos": [],'
+                      ' "M": 1.0, "L": 1.0}',
+    "weight_text": '{"alpha": 0.0, "neg": [{"w": "a", "kind": "cos", "k": 1}], "pos": [],'
+                   ' "M": 1.0, "L": 1.0}',
+    "fractional_k": '{"alpha": 0.0, "neg": [{"w": 1.0, "kind": "cos", "k": 1.5}], "pos": [],'
+                    ' "M": 1.0, "L": 1.0}',
+    "unknown_mode_kind": '{"alpha": 0.0, "neg": [{"w": 1.0, "kind": "tan", "k": 1}],'
+                         ' "pos": [], "M": 1.0, "L": 1.0}',
+}
+
+
+@pytest.mark.parametrize("command", ["un-gap", "scan-convexity", "simulate"])
+@pytest.mark.parametrize("name", sorted(BAD_DECOMPOSITIONS))
+def test_malformed_decomposition_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_DECOMPOSITIONS[name])
+    extra = SMALL_SIM if command == "simulate" else []
+    code = run(command, "--decomposition", str(path), *extra, "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "2", "--samples", "10"]])
+def test_cov_check_refuses_unmeasurable_sizes(tmp_path, capsys, flags):
+    code = run("cov-check", *flags, "--pairs", "1", "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err)
+
+
+def test_regular_graph_refuses_fractional_degree(tmp_path, capsys):
+    out = tmp_path / "g"
+    code = run("graph-gen", "--kind", "regular", "--n", "10", "--d", "2.5", "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "2.5")
+    assert not (out / "graph.edges").exists()
+
+
+def test_tabulated_potential_needs_two_columns(tmp_path, capsys):
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.linspace(-6.0, 6.0, 101), delimiter=",")
+    code = run("tc", "--potential", "tabulated", "--file", str(table),
+               "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "two columns")

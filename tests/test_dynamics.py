@@ -366,24 +366,13 @@ def test_plateau_no_window_flag():
     assert b.n_plus > 0 and b.n_minus > 0
 
 
-def test_plateau_bound_scale_invariant_in_r():
-    rng = np.random.default_rng(5)
-    s = np.concatenate([
-        _well_samples(rng, 500, 10, 1.0, 0.8),
-        _well_samples(rng, 500, 10, -1.0, 0.8)], axis=0)
-    b0 = dy.plateau_gap_bound(s, m_plus=1.0, delta=0.5, r=0.0)
-    b1 = dy.plateau_gap_bound(s, m_plus=1.0, delta=0.5, r=0.7)
-    assert b0.n_window > 0
-    assert b0.bound == pytest.approx(b1.bound)
-
-
 def test_plateau_validation():
     rng = np.random.default_rng(6)
     s = _well_samples(rng, 200, 10, 1.0)
     with pytest.raises(ValueError):
         dy.plateau_gap_bound(s, m_plus=1.0, delta=0.7)  # 3*delta > 2*m_plus
     with pytest.raises(ValueError):
-        dy.plateau_gap_bound(s, m_plus=1.0, delta=0.3, r=-1.0)
+        dy.plateau_gap_bound(s, m_plus=1.0, delta=0.0)
 
 
 def test_subcritical_magnetisation_concentrates(quartic1_measure, quartic1_tc):

@@ -97,11 +97,6 @@ def test_ghs_odd_potential_fails():
     assert not report.passed and not report.is_even
 
 
-def test_ghs_grid_too_small():
-    with pytest.raises(ValueError):
-        check_ghs(PotentialSpec.quartic(1.0), grid_points=32)
-
-
 # -- invariants -------------------------------------------------------------------
 
 def _zero_tilt(nodes, weights, log_density):
