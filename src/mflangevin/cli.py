@@ -314,7 +314,7 @@ def _cmd_estimate(config, out_dir):
 
 def _cmd_plateau_bound(config, out_dir):
     samples, _ = dynamics.read_samples(config["samples"])
-    if config["symmetrize"]:
+    if not config["no_symmetrize"]:
         samples = dynamics.symmetrize(samples)
     bound = dynamics.plateau_gap_bound(samples, config["m_plus"], config["delta"])
     _write_json(out_dir / "plateau.json", asdict(bound))
@@ -367,7 +367,7 @@ _COMMANDS = {
     "estimate": (_cmd_estimate, {"samples": (str, ""), "subtract_mean": (bool, False)}),
     "plateau-bound": (_cmd_plateau_bound, {
         "samples": (str, ""), "m_plus": (float, 1.0), "delta": (float, 0.2),
-        "symmetrize": (bool, True)}),
+        "no_symmetrize": (bool, False)}),
     "cov-check": (_cmd_cov_check, {"n": (int, 5), "seed": (int, 1),
                                    "samples": (int, 1_000_000), "pairs": (int, 10)}),
 }

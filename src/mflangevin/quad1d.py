@@ -16,15 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GridFailure, NonNormalizable
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "PotentialSpec",
@@ -113,13 +110,6 @@ class PotentialSpec:
 
     # -- evaluation -----------------------------------------------------------
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        """Built on first use and kept: a spec's table never changes."""
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.asarray(self.table_nodes), np.asarray(self.table_values))
-
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "quartic":
@@ -148,15 +138,48 @@ class PotentialSpec:
         return self._eval_tabulated(x, deriv=1)
 
     @cached_property
-    def _table_ends(self) -> tuple:
-        """(bound, V, V', V'') at both ends of the table, kept like the spline."""
-        return tuple((b, *(float(self._spline(b, nu=k)) for k in range(3)))
-                     for b in (self.table_nodes[0], self.table_nodes[-1]))
+    def _pieces(self) -> tuple:
+        """(breakpoints, coefficients, ends) of the tabulated spline, built on
+        first use and kept: a spec's table never changes.
+
+        The spline is scipy's not-a-knot ``CubicSpline`` bit for bit.  Its
+        slopes solve the same tridiagonal system in the operation order of
+        LAPACK ``dgtsv`` (what ``solve_banded((1, 1))`` calls), row
+        interchanges included; ``CubicHermiteSpline``'s formulas then give
+        coefficients[k, i] of (x - x_i)^(3-k) on interval i.  ``ends`` holds
+        (bound, V, V', V'') at both ends of the table.
+        """
+        x = np.asarray(self.table_nodes)
+        y = np.asarray(self.table_values)
+        n, dx = len(x), np.diff(x)
+        slope = np.diff(y) / dx
+        d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.empty(n)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d_lo
+        rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi
+        diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+        upper = [float(d_lo), *dx[:-1].tolist()]
+        lower = [*dx[1:].tolist(), float(d_hi)]
+        dydx = _dgtsv(lower, diag, upper, rhs.tolist())
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        coef = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        ends = ((x[0], 0, 0.0), (x[-1], n - 2, dx[-1]))
+        return x, coef, tuple((float(b), *(float(_power_sum(coef, i, h, nu)) for nu in range(3)))
+                              for b, i, h in ends)
 
     def _eval_tabulated(self, x: np.ndarray, deriv: int) -> np.ndarray:
-        out = np.asarray(self._spline(x, nu=deriv), dtype=float)
-        ends = self._table_ends
-        for (bound, v0, v1, v2), mask in zip(ends, (x < ends[0][0], x > ends[1][0])):
+        knots, coef, ends = self._pieces
+        # the interval of each point; a point on the last node stays in the last one
+        i = np.searchsorted(knots[1:-1], x, side="right")
+        inside, masks = x, ()
+        if not (x.size and knots[0] <= x.min() and x.max() <= knots[-1]):
+            # past the ends the continuation below replaces the cubic, which is
+            # evaluated at the nearest end so that no power of a huge offset overflows
+            inside = np.clip(x, knots[0], knots[-1])
+            masks = zip(ends, (x < knots[0], x > knots[-1]))
+        out = np.asarray(_power_sum(coef, i, inside - knots[i], deriv))
+        for (bound, v0, v1, v2), mask in masks:
             if np.any(mask):
                 t = x[mask] - bound
                 if deriv == 0:
@@ -223,6 +246,56 @@ class GhsReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+# -- tabulated spline ------------------------------------------------------------
+
+def _dgtsv(lower: list, diag: list, upper: list, rhs: list) -> np.ndarray:
+    """Solve a tridiagonal system as LAPACK ``dgtsv`` does for one right-hand
+    side: Gaussian elimination with a row interchange wherever the
+    subdiagonal entry is larger in magnitude, then back substitution, in its
+    operation order.  The lists are overwritten."""
+    n = len(diag)
+    fill = [0.0] * n  # second superdiagonal created by interchanges
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            fact = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * upper[i]
+            rhs[i + 1] = rhs[i + 1] - fact * rhs[i]
+        else:
+            fact = diag[i] / lower[i]
+            diag[i], below = lower[i], diag[i + 1]
+            diag[i + 1] = upper[i] - fact * below
+            if i < n - 2:
+                fill[i] = upper[i + 1]
+                upper[i + 1] = -fact * fill[i]
+            upper[i] = below
+            rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - fact * rhs[i + 1]
+    rhs[n - 1] = rhs[n - 1] / diag[n - 1]
+    rhs[n - 2] = (rhs[n - 2] - upper[n - 2] * rhs[n - 1]) / diag[n - 2]
+    for i in range(n - 3, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1] - fill[i] * rhs[i + 2]) / diag[i]
+    return np.array(rhs)
+
+
+def _power_sum(coef: np.ndarray, i, s, nu: int):
+    """The nu-th derivative of sum_k coef[k, i] s^(3-k), summed as scipy's
+    PPoly does: from the lowest surviving power up, each term formed as
+    (coef * s^p) * k!/(k-nu)!, after a first 0.0 + that turns -0.0 into 0.0."""
+    res = coef[3 - nu][i]  # the k = nu term: s^0 * nu!
+    if nu > 1:
+        res = res * math.factorial(nu)
+    res += 0.0
+    z = s
+    for k in range(nu + 1, 4):
+        term = coef[3 - k][i]
+        term *= z
+        if nu:
+            term *= math.perm(k, nu)
+        res += term
+        if k < 3:
+            z = z * s
+    return res
 
 
 # -- quadrature grids ----------------------------------------------------------

@@ -77,10 +77,6 @@ class FreeEnergyTable:
     values: np.ndarray
 
 
-def _dv_scalar(measure: LineMeasure, T: float, phi: float) -> float:
-    return phi / T - tilt_moments(measure, phi / T, max_power=2).mean / T
-
-
 def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarray:
     """Symmetric grid [-W, W], from W = 2 widened until |v'| increases outward
     at both ends, which guarantees every stationary point is interior."""
@@ -98,8 +94,9 @@ def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarr
 def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> RenormTable:
     """Tabulate the auxiliary-field potential on phi_grid.
 
-    Minimisers are the ascending roots of v', refined by root bracketing to
-    1e-10; the curvature floor is the grid minimum of v''.  Raises
+    Minimisers are the ascending roots of v', refined by bracketed Newton
+    steps (all crossings at once, as in ``coarse_free_energy``) to 1e-10; the
+    curvature floor is the grid minimum of v''.  Raises
     GridTooNarrow when v' shows no ascending sign change inside the grid.
     """
     if T <= 0:
@@ -120,12 +117,12 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
     minimizers = [float(phi[i]) for i in np.flatnonzero(np.abs(dv) <= tiny)
                   if ddv[i] > 0.0]
     crossings = np.flatnonzero((dv[:-1] < -tiny) & (dv[1:] > tiny))
-    if len(crossings):  # scipy is loaded only when a crossing needs it
-        from scipy.optimize import brentq
-    for i in crossings:
-        minimizers.append(float(brentq(lambda p: _dv_scalar(measure, T, p),
-                                       phi[i], phi[i + 1], xtol=_ROOT_TOL,
-                                       rtol=_ROOT_RTOL)))
+    if len(crossings):
+        # T v' = phi - mean(phi/T) rises through each root with slope (T - var)/T
+        lo, hi = phi[crossings], phi[crossings + 1]
+        work = _rebuild_for_tilts(measure, min(lo[0] / T, 0.0), max(hi[-1] / T, 0.0))
+        roots = _bracketed_newton(work, T, lo, hi, lambda _, p, mean, var: (p - mean, T - var))
+        minimizers.extend(roots.tolist())
     if not minimizers:
         if dv[0] < -tiny and dv[-1] > tiny:
             # ends enclose roots but the wells are shallower than grid noise
@@ -169,14 +166,47 @@ _MAX_FIELD_BRACKET = 1e6
 _MAX_NEWTON_STEPS = 200
 
 
+def _bracketed_newton(work: LineMeasure, T: float, lo: np.ndarray, hi: np.ndarray,
+                      residual) -> np.ndarray:
+    """Fields where increasing functions of the field cross zero, one in each
+    bracket [lo, hi], all solved at once on the grid ``work``.
+
+    ``residual(idx, phi, mean, var)`` gives two arrays for the entries
+    ``idx`` at fields ``phi``, whose tilts phi/T have tilted means ``mean``
+    and variances ``var``: the function values f and T times their slopes,
+    d.  Each entry starts at the middle of its bracket and takes Newton
+    steps phi - T f / d, bisecting the bracket (updated in place) wherever
+    a step would leave it or d vanishes.  It stops once a step moves it by
+    at most 1e-12 + 8 eps |phi|.
+    """
+    phis = 0.5 * (lo + hi)
+    active = np.arange(len(phis))
+    for _ in range(_MAX_NEWTON_STEPS):
+        phi = phis[active]
+        _, p = tilted_weights(phi[:, None] / T, work.nodes[None, :], work.weights,
+                              work.log_density)
+        mean, var = _mean_var(p, work.nodes)
+        f, d = residual(active, phi, mean, var)
+        lo[active] = np.where(f < 0.0, phi, lo[active])
+        hi[active] = np.where(f > 0.0, phi, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):  # such steps bisect below
+            new = phi - T * f / d
+        new = np.where((lo[active] < new) & (new < hi[active]), new,
+                       0.5 * (lo[active] + hi[active]))
+        phis[active] = new
+        active = active[np.abs(new - phi) > _ROOT_TOL + _ROOT_RTOL * np.abs(phi)]
+        if active.size == 0:
+            return phis
+    raise GridFailure(f"bracketed Newton did not converge for {active.size} field(s)")
+
+
 def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> FreeEnergyTable:
     """Coarse-grained free energy on a magnetisation grid, up to a constant.
 
     The conjugate field phi_m with tilted mean m inverts the magnetisation
     map, which increases strictly with derivative var/T.  A field bracket
     [-w, w] holding every m is found by doubling; then all m are solved at
-    once by Newton steps on one grid widened for it, bisecting whenever a
-    step would leave a point's bracket.  Then
+    once by ``_bracketed_newton`` on one grid widened for it.  Then
 
         fhat(m) = v(phi_m) - (phi_m - m)^2 / (2T).
     """
@@ -210,25 +240,8 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
         raise OutOfRange(f"magnetisation {m_grid[~inside][0]} is outside the attainable range")
 
     work = _rebuild_for_tilts(measure, -w / T, w / T)
-    lo, hi, phis = np.full(m_grid.shape, -w), np.full(m_grid.shape, w), np.zeros(m_grid.shape)
-    active = np.arange(len(m_grid))
-    for _ in range(_MAX_NEWTON_STEPS):
-        phi = phis[active]
-        _, p = tilted_weights(phi[:, None] / T, work.nodes[None, :], work.weights,
-                              work.log_density)
-        mean, var = _mean_var(p, work.nodes)
-        excess = mean - m_grid[active]
-        lo[active] = np.where(excess < 0.0, phi, lo[active])
-        hi[active] = np.where(excess > 0.0, phi, hi[active])
-        new = phi - T * excess / var
-        new = np.where((lo[active] < new) & (new < hi[active]), new,
-                       0.5 * (lo[active] + hi[active]))
-        phis[active] = new
-        active = active[np.abs(new - phi) > _ROOT_TOL + _ROOT_RTOL * np.abs(phi)]
-        if active.size == 0:
-            break
-    else:
-        raise GridFailure(f"field inversion did not converge for {active.size} magnetisation(s)")
+    phis = _bracketed_newton(work, T, np.full(m_grid.shape, -w), np.full(m_grid.shape, w),
+                             lambda idx, _, mean, var: (mean - m_grid[idx], var))
     log_z, _, _ = tilt_table(measure, phis / T)
     v = phis**2 / (2.0 * T) - log_z
     values = v - (phis - m_grid) ** 2 / (2.0 * T)

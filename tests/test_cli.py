@@ -181,6 +181,32 @@ def test_simulate_estimate_plateau(tmp_path):
     assert payload["bound"] >= 0
 
 
+def test_plateau_bound_no_symmetrize(tmp_path):
+    from mflangevin import dynamics
+    # three frames in the upper well for each in the lower one, and some between
+    mbar = np.repeat([1.0, 1.0, 1.0, -1.0, 0.1], 8)
+    samples = tmp_path / "s.bin"
+    dynamics.write_samples(np.repeat(mbar[None, :, None], 2, axis=2), samples,
+                           temperature=1.0, dt=1e-3, seed=1)
+    visits = {}
+    for flags in ([], ["--no-symmetrize"]):
+        out = tmp_path / ("o" + "".join(flags))
+        assert run("plateau-bound", "--samples", str(samples), "--m-plus", "1.0",
+                   "--delta", "0.5", *flags, "--out", str(out)) == 0
+        payload = read_json(out / "plateau.json")
+        visits[bool(flags)] = (payload["n_plus"], payload["n_minus"])
+        assert read_json(out / "sidecar.json")["config"]["no_symmetrize"] is bool(flags)
+    assert visits == {False: (32, 32), True: (24, 8)}
+
+
+def test_bool_settings_default_to_false():
+    # a bool flag can only set its key to true, so a key that defaulted to
+    # true could be turned off from a config file only
+    true_by_default = [(command, key) for command, (_, schema) in cli._COMMANDS.items()
+                       for key, (kind, default) in schema.items() if kind is bool and default]
+    assert true_by_default == []
+
+
 def test_simulate_circle_with_decomposition(tmp_path):
     dec_out = tmp_path / "dec"
     assert run("modes-decompose", "--kernel-coefficients", "1.0",
@@ -248,17 +274,32 @@ def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
     assert "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is imported by the code that uses it, so a subcommand that needs
-    # none of it does not pay its start-up time and memory
+    # none of it does not pay its start-up time and memory.  The quadrature
+    # and dynamics paths need none: not for a tabulated potential, and not for
+    # the minimisers of a double well below T_c
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = ("import sys, mflangevin.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    xs = np.linspace(-3.0, 3.0, 61)
+    table = tmp_path / "well.csv"
+    np.savetxt(table, np.column_stack([xs, xs**4 / 4.0 - xs**2 / 2.0]), delimiter=",")
+    commands = [
+        [],
+        ["tc", "--potential", "tabulated", "--file", str(table)],
+        ["scan-vt", "--potential", "quartic", "--lam", "1", "--T", "0.5"],
+        ["simulate", "--potential", "tabulated", "--file", str(table), "--n", "8",
+         "--T", "1.0", "--steps", "300", "--burn-in", "100", "--replicas", "2"],
+    ]
+    for i, argv in enumerate(commands):
+        command = (f"assert run({argv + ['--out', str(tmp_path / str(i))]!r}) == 0; "
+                   if argv else "")
+        probe = ("import sys; from mflangevin.cli import run; " + command +
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_threads_flag_rejected(tmp_path, capsys):

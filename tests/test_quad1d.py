@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 from scipy.special import gamma as gamma_fn
 
 from mflangevin import quad1d
@@ -205,3 +208,94 @@ def test_tabulated_matches_dense_table(quartic1_measure):
     m = build_measure(spec, 1e-8)
     assert abs(tilt_moments(m, 0.0).variance
                - tilt_moments(quartic1_measure, 0.0).variance) < 1e-7
+
+
+# -- the tabulated spline against scipy's bits ------------------------------------
+
+def _scipy_tabulated(spec, x, nu):
+    """V or V' as scipy's not-a-knot CubicSpline gives it, with the package's
+    quadratic continuation past each end of the table (test oracle)."""
+    nodes = np.asarray(spec.table_nodes)
+    spline = CubicSpline(nodes, np.asarray(spec.table_values))
+    out = np.asarray(spline(x, nu=nu), dtype=float)
+    for bound, mask in ((nodes[0], x < nodes[0]), (nodes[-1], x > nodes[-1])):
+        v0, v1, v2 = (float(spline(bound, nu=k)) for k in range(3))
+        t = x[mask] - bound
+        out[mask] = v0 + v1 * t + 0.5 * v2 * t**2 if nu == 0 else v1 + v2 * t
+    return out
+
+
+def _double_well(xs):
+    return xs**4 / 4.0 - xs**2 / 2.0
+
+
+# the benchmark's well, every table the other tests build, the smallest table,
+# a non-uniform one whose slope system LAPACK solves with row interchanges, one
+# whose first and last spacings h have h**2 (pow) != h*h, and one that reaches
+# -0.0 at a knot where every other term is -0.0 too (scipy returns 0.0)
+SPLINE_TABLES = {
+    "benchmark_well": (np.linspace(-3.0, 3.0, 61), _double_well),
+    "dynamics_well": (np.linspace(-1.2, 1.2, 25), _double_well),
+    "oscillating": (np.linspace(-6.0, 6.0, 2401), lambda x: x**2 - np.cos(5.0 * x)),
+    "odd": (np.linspace(-6.0, 6.0, 1201), lambda x: x**2 / 2 + 0.5 * x),
+    "narrow": (np.linspace(-2.0, 2.0, 200), lambda x: x**2 / 2.0),
+    "dense_quartic": (np.linspace(-9.0, 9.0, 4001), PotentialSpec.quartic(1.0).value),
+    "shifted_quartic": (np.linspace(-9.0, 9.0, 3001),
+                        lambda x: PotentialSpec.quartic(1.0).value(x) + 7.3),
+    "barrier": (np.linspace(-3.0, 3.0, 61), lambda x: 200.0 * (1.0 - np.exp(-x**2))),
+    "four_nodes": (np.array([0.0, 1.0, 2.0, 3.0]), lambda x: np.array([1.0, -2.0, 0.5, 4.0])),
+    "pivoting": (np.array([0.0, 0.1, 0.2, 5.0, 6.0, 7.0]), lambda x: np.sin(x) + x**2),
+    "rounded_square": (np.array([0.0, 0.6352, 1.0, 2.0, 3.0, 3.8329]), np.exp),
+    "negative_zero": (np.arange(5.0), lambda x: np.array([1.0, 0.5, -0.0, -1.0, -3.0])),
+}
+
+
+def _not_a_knot_system(nodes):
+    """(sub, main, super) diagonals of the not-a-knot slope system."""
+    dx = np.diff(nodes)
+    return (np.append(dx[1:], nodes[-1] - nodes[-3]),
+            np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]]),
+            np.append(nodes[2] - nodes[0], dx[:-1]))
+
+
+@pytest.mark.parametrize("name", list(SPLINE_TABLES))
+def test_tabulated_spline_matches_scipy_bits(name):
+    nodes, fn = SPLINE_TABLES[name]
+    spec = PotentialSpec.tabulated(nodes, fn(nodes))
+    far = [1e50, 1e103, 1e200, np.inf]
+    x = np.concatenate([nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+                        (nodes[:-1] + nodes[1:]) / 2.0, far, np.negative(far), [np.nan]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ours, nu in ((spec.value(x), 0), (spec.derivative(x), 1)):
+            assert ours.tobytes() == _scipy_tabulated(spec, x, nu).tobytes()
+            assert np.asarray(ours[:1]).tobytes() == np.asarray(
+                (spec.value if nu == 0 else spec.derivative)(x[0])).tobytes()
+    if name == "benchmark_well":
+        # the continuation squares an offset of 1e103 finitely, without a
+        # warning, and 1e200 to inf; a cubic term 0 * inf there would read NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(spec.value(np.array([-1e103, 1e103]))))
+            assert np.all(np.isfinite(spec.derivative(np.array([-1e103, 1e103]))))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(spec.value(np.array([-1e200, 1e200]))))
+
+
+def test_pivoting_table_interchanges_rows():
+    sub, main, sup = _not_a_knot_system(SPLINE_TABLES["pivoting"][0])
+    fill, *_, info = lapack.dgtsv(sub, main, sup, np.ones(len(main)))
+    assert info == 0 and np.any(fill != 0.0)  # a second superdiagonal only comes from interchanges
+
+
+def test_dgtsv_matches_lapack_bits():
+    rng = np.random.default_rng(11)
+    interchanges = 0
+    for n in range(4, 40):
+        sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
+        main, rhs = rng.normal(size=n), rng.normal(size=n)
+        fill, *_, x, info = lapack.dgtsv(sub, main, sup, rhs)
+        assert info == 0
+        ours = quad1d._dgtsv(sub.tolist(), main.tolist(), sup.tolist(), rhs.tolist())
+        assert ours.tobytes() == x.tobytes()
+        interchanges += int(np.count_nonzero(fill))
+    assert interchanges > 100

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,48 @@ def _brentq_inversion(measure, T, m_grid):
     return np.array(phis)
 
 
+def _brentq_minimizers(measure, T, table):
+    """brentq on v' across each ascending sign change of the tabulated v',
+    one domain widening per evaluation (test oracle)."""
+    from scipy.optimize import brentq
+
+    def dv(phi):
+        return phi / T - rn.magnetization_map(measure, T, phi) / T
+
+    grid, dvs = table.phi_grid, table.dv
+    return np.array([brentq(dv, grid[i], grid[i + 1], xtol=1e-12)
+                     for i in np.flatnonzero((dvs[:-1] < 0.0) & (dvs[1:] > 0.0))])
+
+
+@pytest.mark.parametrize("case", ["lam=0.5", "lam=1", "lam=2", "tabulated"])
+def test_minimizers_match_brentq_oracle(case):
+    xs = np.linspace(-3.0, 3.0, 61)
+    spec = (PotentialSpec.tabulated(xs, xs**4 / 4.0 - xs**2 / 2.0) if case == "tabulated"
+            else PotentialSpec.quartic(float(case.split("=")[1])))
+    measure = build_measure(spec, 1e-10)
+    t_c = rn.critical_temperature(measure)
+    for factor in np.linspace(0.3, 0.98, 15):
+        T = factor * t_c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = table_for(measure, T)
+        ref = _brentq_minimizers(measure, T, table)
+        assert len(ref) == len(table.minimizers) == 2
+        assert np.max(np.abs(table.minimizers - ref)) <= 1e-10
+
+
+def test_newton_bisects_where_the_slope_vanishes(gaussian_measure):
+    # with every slope 0 each Newton step divides by zero: it must bisect, without a warning
+    lo, hi = np.full(3, -4.0), np.full(3, 4.0)
+    targets = np.array([-0.7, 0.0, 1.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phis = rn._bracketed_newton(gaussian_measure, 1.0, lo, hi,
+                                    lambda idx, _, mean, var: (mean - targets[idx], 0.0 * var))
+    # the tilted Gaussian's mean is its tilt, phi/T with T = 1
+    assert np.max(np.abs(phis - targets)) <= 1e-11
+
+
 @pytest.mark.parametrize("case", ["gaussian", "quartic"])
 def test_inversion_matches_brentq_oracle(case, gaussian_measure, quartic1_measure,
                                          quartic1_tc, monkeypatch):
@@ -309,10 +352,13 @@ def test_ddv_matches_fd_of_dv(quartic1_measure, quartic1_tc):
     T = 1.3 * quartic1_tc
     t = table_for(quartic1_measure, T)
     step = 1e-5
+
+    def dv_at(phi):
+        return phi / T - rn.magnetization_map(quartic1_measure, T, phi) / T
+
     for i in range(100, 701, 100):
         phi = float(t.phi_grid[i])
-        fd = (rn._dv_scalar(quartic1_measure, T, phi + step)
-              - rn._dv_scalar(quartic1_measure, T, phi - step)) / (2.0 * step)
+        fd = (dv_at(phi + step) - dv_at(phi - step)) / (2.0 * step)
         assert abs(fd - t.ddv[i]) < 1e-5
 
 
