@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -26,8 +26,6 @@ import numpy as np
 
 from . import __version__, dynamics, graphs, modes, quad1d, renormalized
 from .errors import MeanFieldError, NumericalError, PreconditionError
-
-_FLOAT_FMT = "%.17g"
 
 
 # -- config plumbing ---------------------------------------------------------------
@@ -127,14 +125,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FLOAT_FMT % v for v in row])
-
-
 def _potential_from_config(config: dict) -> quad1d.PotentialSpec:
     kind = config["potential"]
     if kind == "quartic":
@@ -193,8 +183,8 @@ def _free_energy_table(config):
 
 def _cmd_free_energy(config, out_dir):
     T, table = config["T"], _free_energy_table(config)
-    _write_csv(out_dir / "free_energy.csv", ["m", "fhat"],
-               zip(table.m_grid, table.values))
+    renormalized._write_csv(out_dir / "free_energy.csv", ["m", "fhat"],
+                            [table.m_grid, table.values])
     _write_json(out_dir / "free_energy.json", {"T": T, "points": int(config["points"])})
     print(f"free energy tabulated on [{config['m_min']}, {config['m_max']}] at T = {T:.6g}")
     return ["free_energy.csv", "free_energy.json"]
@@ -228,8 +218,7 @@ def _cmd_scan_convexity(config, out_dir):
     region = [(-config["radius"], config["radius"])] * decomp.dim
     scan = modes.strong_convexity_scan(config["T"], decomp, measure, region, config["grid"])
     header = [f"zeta_{k + 1}" for k in range(decomp.dim)] + ["min_eig"]
-    _write_csv(out_dir / "scan.csv", header,
-               (list(p) + [e] for p, e in zip(scan.grid_points, scan.min_eigs)))
+    renormalized._write_csv(out_dir / "scan.csv", header, [*scan.grid_points.T, scan.min_eigs])
     _write_json(out_dir / "scan.json", {
         "T": config["T"], "lambda_hat": scan.lambda_hat,
         "argmin": [float(v) for v in scan.argmin]})
@@ -255,7 +244,7 @@ def _cmd_un_gap(config, out_dir):
         res = modes.un_small_n(psi, config["T"], decomp, measure, n)
         rows.append((n, res.u_n, res.u_limiting, res.gap))
         print(f"N = {n}: finite-N value {res.u_n:.8f}, gap {res.gap:.8f}")
-    _write_csv(out_dir / "un_gap.csv", ["n", "u_n", "u_limit", "gap"], rows)
+    renormalized._write_csv(out_dir / "un_gap.csv", ["n", "u_n", "u_limit", "gap"], zip(*rows))
     _write_json(out_dir / "un_gap.json", {
         "T": config["T"], "psi": config["psi"],
         "gaps": {str(n): g for n, _, _, g in rows}})
@@ -373,7 +362,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``mfl`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="mfl", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

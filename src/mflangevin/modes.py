@@ -351,8 +351,10 @@ def make_decomposition(alpha: float = 0.0, neg: Sequence[Mode] = (),
     return _finish_decomposition(alpha, tuple(neg), tuple(pos))
 
 
+@functools.cache
 def xy_decomposition() -> ModeDecomposition:
-    """The rotor-model interaction cos(x - y) as a cos/sin mode pair."""
+    """The rotor-model interaction cos(x - y) as a cos/sin mode pair, built
+    once; the decomposition is immutable, so every caller shares it."""
     return fourier_decompose(np.cos, max_frequency=1, tol=1e-12)
 
 

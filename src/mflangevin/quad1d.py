@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 from .errors import GridFailure, NonNormalizable
 
@@ -188,6 +188,11 @@ class PotentialSpec:
                     out[mask] = v1 + v2 * t
         return out
 
+    @cached_property
+    def _ghs(self) -> "GhsReport":
+        """``check_ghs``'s report, computed on first use and kept."""
+        return _ghs_report(self)
+
     def uses_extrapolation(self, lo: float, hi: float) -> bool:
         if self.kind != "tabulated":
             return False
@@ -300,8 +305,18 @@ def _power_sum(coef: np.ndarray, i, s, nu: int):
 
 # -- quadrature grids ----------------------------------------------------------
 
+@cache
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule of one order, built once and shared
+    read-only by every caller."""
+    rule = legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _composite_gauss_legendre(lo: float, hi: float, panels: int, order: int):
-    base_x, base_w = leggauss(order)
+    base_x, base_w = _leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -356,7 +371,10 @@ def _moments(p: np.ndarray, nodes: np.ndarray, max_power: int):
 def _mean_var(p: np.ndarray, nodes: np.ndarray):
     """Means and variances (B,) of the rows of normalised masses p (B, n)."""
     mean = p @ nodes
-    return mean, np.sum(p * (nodes[None, :] - mean[:, None]) ** 2, axis=1)
+    sq = nodes - mean[:, None]
+    sq *= sq
+    sq *= p
+    return mean, sq.sum(axis=1)
 
 
 def _moment_distance(a, b) -> float:
@@ -514,11 +532,15 @@ def check_ghs(spec: PotentialSpec) -> GhsReport:
     Passes iff (a) V is even to 1e-10 on the test grid, (b) the finite
     difference second derivative is nondecreasing on [0, inf) within 1e-8
     relative tolerance, and (c) V is confining at the domain ends.  The
-    report carries the first violating grid point otherwise.
+    report carries the first violating grid point otherwise.  It is computed
+    once per spec and the same report is returned on every later call.
     """
     if spec.domain != REAL_LINE:
         raise ValueError("class check applies to real-line potentials only")
+    return spec._ghs
 
+
+def _ghs_report(spec: PotentialSpec) -> GhsReport:
     lo, hi = _find_bounds(spec)
     half = max(abs(lo), abs(hi))
     xs = np.linspace(0.0, half, _GHS_GRID)

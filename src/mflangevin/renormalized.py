@@ -134,8 +134,10 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
                 f"(dv ends: {dv[0]:.3g}, {dv[-1]:.3g})")
     minimizers = np.array(sorted(set(np.round(minimizers, 12))))
 
-    ghs = check_ghs(measure.potential)
-    t_critical = float(tilt_moments(measure, 0.0).variance) if ghs.passed else None
+    try:
+        t_critical = critical_temperature(measure)
+    except NotGHS:
+        t_critical = None
 
     return RenormTable(
         temperature=float(T), phi_grid=phi, v=v, dv=dv, ddv=ddv,
@@ -293,13 +295,20 @@ def lsi_bound_quadratic(T: float, curvature_floor: float, gamma_v: float) -> flo
     return 1.0 / gamma_v + 1.0 / (gamma_v**2 * T**2 * curvature_floor)
 
 
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write the header row, then one row per entry of the equal-length
+    ``columns``, each value as ``%.17g``, in the ``csv`` module's dialect."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % values for values in zip(*columns))
+
+
 def write_renorm_table(table: RenormTable, csv_path, json_path) -> None:
     """Emit the table as CSV (phi,v,dv,ddv) with a JSON sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "v", "dv", "ddv"])
-        for row in zip(table.phi_grid, table.v, table.dv, table.ddv):
-            writer.writerow([f"{x:.17g}" for x in row])
+    _write_csv(csv_path, ["phi", "v", "dv", "ddv"],
+               [table.phi_grid, table.v, table.dv, table.ddv])
     sidecar = {
         "T": table.temperature,
         "t_critical": table.t_critical,

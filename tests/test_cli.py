@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mflangevin import cli, graphs
+from mflangevin import __version__, cli, graphs
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -54,6 +57,40 @@ def test_scan_vt_and_sidecar_rerun(tmp_path):
     assert run("scan-vt", "--config", str(a / "sidecar.json"), "--out", str(b)) == 0
     for name in ("renorm.csv", "renorm.json", "sidecar.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_parser_reused_across_commands(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    scan = ("scan-vt", "--potential", "quartic", "--lam", "1", "--T", "0.5", "--points", "101")
+    assert run(*scan, "--out", str(tmp_path / "a")) == 0
+    assert run("tc", "--no-such-flag", "1", "--out", str(tmp_path / "x")) == 2
+    assert run("--version") == 0
+    assert __version__ in capsys.readouterr().out.splitlines()
+    assert run(*scan, "--out", str(tmp_path / "b")) == 0
+    for name in ("renorm.csv", "renorm.json", "sidecar.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def readme_commands():
+    """Each line of the first sh block under README "Command line", split as
+    a shell would split it."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) > 10 and all(argv[0] == "mfl" for argv in commands)
+    for argv in commands:  # in one process, so every subcommand shares the parser
+        assert cli.run(argv[1:]) == 0, shlex.join(argv)
+    first, again = tmp_path / "runs" / "vt", tmp_path / "runs" / "vt-again"
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_sidecar_command_mismatch(tmp_path):

@@ -29,6 +29,10 @@ def xy():
 
 # -- fourier_decompose ---------------------------------------------------------------
 
+def test_xy_decomposition_built_once():
+    assert md.xy_decomposition() is md.xy_decomposition()
+
+
 def test_decompose_pure_cosine(xy):
     assert xy.alpha == 0.0
     assert [(m.weight, m.kind, m.k) for m in xy.neg_modes] == [

@@ -100,6 +100,21 @@ def test_ghs_odd_potential_fails():
     assert not report.passed and not report.is_even
 
 
+def test_ghs_report_computed_once_per_spec():
+    xs = np.linspace(-6.0, 6.0, 1201)
+    for make in (lambda: PotentialSpec.quartic(1.0),
+                 lambda: PotentialSpec.tabulated(xs, xs**2 / 2 + 0.5 * xs)):
+        spec = make()
+        report = check_ghs(spec)
+        assert check_ghs(spec) is report
+        fresh = make()
+        assert check_ghs(fresh) == report and check_ghs(fresh) is not report
+    circle = PotentialSpec.periodic_fourier([1.0])
+    for _ in range(2):  # a refusal is not kept as a report
+        with pytest.raises(ValueError):
+            check_ghs(circle)
+
+
 # -- invariants -------------------------------------------------------------------
 
 def _zero_tilt(nodes, weights, log_density):
@@ -299,3 +314,34 @@ def test_dgtsv_matches_lapack_bits():
         assert ours.tobytes() == x.tobytes()
         interchanges += int(np.count_nonzero(fill))
     assert interchanges > 100
+
+
+# -- quadrature invariants computed once --------------------------------------------
+
+def test_gauss_legendre_rule_cached_and_read_only():
+    for order in range(1, 33):
+        x, w = quad1d._leggauss(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        assert quad1d._leggauss(order)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def _mean_var_three_temporaries(p, nodes):
+    """The reference: centred nodes, their squares and the weighted squares
+    each in a temporary of their own."""
+    mean = p @ nodes
+    return mean, np.sum(p * (nodes[None, :] - mean[:, None]) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 801])
+def test_mean_var_matches_three_temporary_formula(rows):
+    rng = np.random.default_rng(rows)
+    n = 512
+    nodes = np.sort(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100, 100, n))
+    p = rng.random((rows, n)) * 10.0 ** rng.uniform(-300, 0, (rows, n))
+    p /= p.sum(axis=1, keepdims=True)
+    for got, ref in zip(quad1d._mean_var(p, nodes), _mean_var_three_temporaries(p, nodes)):
+        assert got.tobytes() == ref.tobytes()
