@@ -149,7 +149,8 @@ def _measure_from_config(config: dict) -> quad1d.LineMeasure:
 _POTENTIALS = ("quartic", "gaussian", "periodic_fourier", "tabulated")
 _POTENTIAL_SCHEMA = {"potential": (_POTENTIALS, "quartic"), "lam": (float, 0.0),
                      "curvature": (float, 1.0), "coefficients": ("floats", []),
-                     "file": (str, ""), "tol": (float, 1e-10)}
+                     "file": (str, "")}
+_MEASURE_SCHEMA = {**_POTENTIAL_SCHEMA, "tol": (float, 1e-10)}  # build_measure's tolerance
 
 
 # -- subcommand handlers --------------------------------------------------------------
@@ -323,25 +324,25 @@ def _cmd_cov_check(config, out_dir):
 
 
 _COMMANDS = {
-    "tc": (_cmd_tc, dict(_POTENTIAL_SCHEMA)),
-    "scan-vt": (_cmd_scan_vt, {**_POTENTIAL_SCHEMA, "T": (float, 1.5),
+    "tc": (_cmd_tc, dict(_MEASURE_SCHEMA)),
+    "scan-vt": (_cmd_scan_vt, {**_MEASURE_SCHEMA, "T": (float, 1.5),
                                "points": (int, 801), "phi_max": (float, 0.0)}),
-    "free-energy": (_cmd_free_energy, {**_POTENTIAL_SCHEMA, "T": (float, 1.5),
+    "free-energy": (_cmd_free_energy, {**_MEASURE_SCHEMA, "T": (float, 1.5),
                                        "m_min": (float, -1.0), "m_max": (float, 1.0),
                                        "points": (int, 201)}),
-    "pl": (_cmd_pl, {**_POTENTIAL_SCHEMA, "T": (float, 1.5), "m_min": (float, -1.0),
+    "pl": (_cmd_pl, {**_MEASURE_SCHEMA, "T": (float, 1.5), "m_min": (float, -1.0),
                      "m_max": (float, 1.0), "points": (int, 201)}),
     "modes-decompose": (_cmd_modes_decompose, {
         "kernel_coefficients": ("floats", [1.0]), "kernel_file": (str, ""),
         "max_frequency": (int, 8), "tol": (float, 1e-8)}),
     "scan-convexity": (_cmd_scan_convexity, {
-        **_POTENTIAL_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
+        **_MEASURE_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
         "decomposition": (str, ""), "T": (float, 1.0), "radius": (float, 6.0),
         "grid": (int, 41)}),
     "xy-check": (_cmd_xy_check, {"T": (float, 1.0), "radius": (float, 6.0),
                                  "grid": (int, 41)}),
     "un-gap": (_cmd_un_gap, {
-        **_POTENTIAL_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
+        **_MEASURE_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
         "decomposition": (str, ""), "T": (float, 1.0), "psi": ("floats", [0.5, 0.0]),
         "n_values": ("ints", [1, 2, 4])}),
     "graph-gen": (_cmd_graph_gen, {"kind": (("regular", "erdos_renyi"), "regular"),

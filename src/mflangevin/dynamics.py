@@ -418,29 +418,17 @@ def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator, n_samples: 
 
 def _coord_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the first axis of an (n, samples) array, in the order numpy
-    sums each row of the (samples, n) transpose, so the bits equal those of
-    ``np.sum(a.T, axis=1)``: 0.0 plus numpy's pairwise sum, which adds fewer
-    than 8 terms left to right (``_pairwise_sum`` takes the rest)."""
+    sums each row of the (samples, n) transpose, so that for n <= 128 the
+    bits equal those of ``np.sum(a.T, axis=1)``: 0.0 plus numpy's pairwise
+    sum, which adds fewer than 8 terms left to right and up to 128 in eight
+    strided lanes, combined pairwise, then the remaining terms left to right.
+    (numpy splits longer rows in two; the only caller has n <= 20.)"""
     n = len(a)
     if n < 8:
         out = a[0] + 0.0
         for row in a[1:]:
             out += row
         return out
-    out = _pairwise_sum(a)
-    out += 0.0
-    return out
-
-
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum over the first axis, for at least 8 terms: up to
-    128 in eight strided lanes, combined pairwise, then the remaining terms
-    left to right; more are split in two, at a multiple of 8 next to the
-    middle, and each half summed the same way."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
     tail = n - n % 8
     r = a[:8].copy()
     for i in range(8, tail, 8):
@@ -448,6 +436,7 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for row in a[tail:]:
         out += row
+    out += 0.0
     return out
 
 

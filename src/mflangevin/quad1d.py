@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -30,8 +30,8 @@ __all__ = [
     "GhsReport",
     "build_measure",
     "tilted_weights",
+    "tilt_table",
     "tilt_moments",
-    "expectation",
     "check_ghs",
 ]
 
@@ -231,11 +231,7 @@ class TiltMoments:
     h: float
     log_z: float          # log of the unnormalised partition function
     mean: float
-    central: np.ndarray   # central[p] = centred p-th moment; central[2] > 0
-
-    @property
-    def variance(self) -> float:
-        return float(self.central[2])
+    variance: float       # > 0
 
 
 @dataclass(frozen=True)
@@ -357,15 +353,16 @@ def tilted_weights(fields: np.ndarray, features: np.ndarray, weights: np.ndarray
     return m[:, 0] + np.log(z[:, 0]), g
 
 
-def _moments(p: np.ndarray, nodes: np.ndarray, max_power: int):
-    """(mean, central moments) from normalised quadrature masses p."""
+def _moments(p: np.ndarray, nodes: np.ndarray):
+    """(mean, centred moments of order 0 to 4) from normalised quadrature
+    masses p: build_measure's grid-doubling certificate."""
     mean = float(np.sum(p * nodes))
     d = nodes - mean
-    central = np.zeros(max_power + 1)
-    central[0] = 1.0
-    for k in range(2, max_power + 1):
-        central[k] = float(np.sum(p * d**k))
-    return mean, central
+    centred = np.zeros(5)
+    centred[0] = 1.0
+    for k in range(2, 5):
+        centred[k] = float(np.sum(p * d**k))
+    return mean, centred
 
 
 def _mean_var(p: np.ndarray, nodes: np.ndarray):
@@ -378,7 +375,7 @@ def _mean_var(p: np.ndarray, nodes: np.ndarray):
 
 
 def _moment_distance(a, b) -> float:
-    """Relative disagreement between two (log_z, mean, central) triples."""
+    """Relative disagreement between two (log_z, mean, centred moments) triples."""
     la, ma, ca = a
     lb, mb, cb = b
     scale = math.sqrt(max(ca[2], cb[2], 1e-300))
@@ -391,6 +388,15 @@ def _moment_distance(a, b) -> float:
 
 # -- domain selection -----------------------------------------------------------
 
+def _heavy_ends(spec: PotentialSpec, lo: float, hi: float, h_lo: float, h_hi: float,
+                peak: float) -> tuple[bool, bool]:
+    """Whether h*x - V(x) at lo, and at hi, comes within TAIL_GAP of peak for
+    some tilt h in [h_lo, h_hi]: the end that does must move outward."""
+    end_lo = max(h_lo * lo, h_hi * lo) - float(spec.value(lo))
+    end_hi = max(h_lo * hi, h_hi * hi) - float(spec.value(hi))
+    return end_lo > peak - _TAIL_GAP, end_hi > peak - _TAIL_GAP
+
+
 def _find_bounds(spec: PotentialSpec, h_lo: float = 0.0, h_hi: float = 0.0):
     """Widen [lo, hi] until h*x - V(x) at both endpoints sits TAIL_GAP below
     the interior maximum for every tilt h in [h_lo, h_hi]."""
@@ -399,12 +405,9 @@ def _find_bounds(spec: PotentialSpec, h_lo: float = 0.0, h_hi: float = 0.0):
     for _ in range(_MAX_WIDENINGS):
         vals = spec.value(probe)
         peak = max(np.max(h_lo * probe - vals), np.max(h_hi * probe - vals))
-        end_lo = max(h_lo * lo, h_hi * lo) - float(spec.value(lo))
-        end_hi = max(h_lo * hi, h_hi * hi) - float(spec.value(hi))
-        if end_lo <= peak - _TAIL_GAP and end_hi <= peak - _TAIL_GAP:
+        grow_lo, grow_hi = _heavy_ends(spec, lo, hi, h_lo, h_hi, peak)
+        if not (grow_lo or grow_hi):
             return lo, hi
-        grow_lo = end_lo > peak - _TAIL_GAP
-        grow_hi = end_hi > peak - _TAIL_GAP
         new_lo = lo * 1.5 if grow_lo else lo
         new_hi = hi * 1.5 if grow_hi else hi
         # a potential that keeps decreasing outward can never be truncated
@@ -454,7 +457,7 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
         nodes, weights = _composite_gauss_legendre(lo, hi, panels, order)
         log_density = -spec.value(nodes)
         log_z, p = tilted_weights([[0.0]], nodes[None, :], weights, log_density)
-        cur = (log_z[0], *_moments(p[0], nodes, 4))
+        cur = (log_z[0], *_moments(p[0], nodes))
         if prev is not None and _moment_distance(prev, cur) < tol:
             return LineMeasure(spec, nodes, weights, log_density, (lo, hi),
                                tol, panels=panels, panel_order=order,
@@ -472,9 +475,7 @@ def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMe
     g_interior = np.maximum(h_lo * measure.nodes, h_hi * measure.nodes) + measure.log_density
     peak = float(np.max(g_interior))
     spec = measure.potential
-    end_lo = max(h_lo * lo, h_hi * lo) - float(spec.value(lo))
-    end_hi = max(h_lo * hi, h_hi * hi) - float(spec.value(hi))
-    if end_lo <= peak - _TAIL_GAP and end_hi <= peak - _TAIL_GAP:
+    if not any(_heavy_ends(spec, lo, hi, h_lo, h_hi, peak)):
         return measure
     new_lo, new_hi = _find_bounds(spec, h_lo, h_hi)
     new_lo, new_hi = min(new_lo, lo), max(new_hi, hi)
@@ -490,26 +491,13 @@ def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMe
                    extrapolated=measure.extrapolated or spec.uses_extrapolation(new_lo, new_hi))
 
 
-def tilt_moments(measure: LineMeasure, h: float, max_power: int = 4) -> TiltMoments:
-    """Moments of exp(h*x) d(alpha), up to the measure's unnormalised constant.
+def tilt_table(measure: LineMeasure, hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log Z, mean and variance (each (B,)) of exp(h*x) d(alpha) for the B
+    tilts hs: the one query for moments of tilts.
 
-    On the real line the domain is widened automatically when the tilt pushes
-    mass towards the boundary; GridFailure is raised if widening fails.
-    """
-    h = float(h)
-    work = _rebuild_for_tilts(measure, min(h, 0.0), max(h, 0.0))
-    log_z, p = tilted_weights([[h]], work.nodes[None, :], work.weights, work.log_density)
-    mean, central = _moments(p[0], work.nodes, max(2, max_power))
-    if central[2] <= 0.0:
-        raise GridFailure("tilted variance collapsed; grid cannot resolve the tilt")
-    return TiltMoments(h=h, log_z=log_z[0], mean=mean, central=central)
-
-
-def tilt_table(measure: LineMeasure, hs: np.ndarray):
-    """Vectorised (log_z, mean, variance) for an array of tilts.
-
-    Shares one widened grid across all tilts; used by the renormalised
-    potential scan where hundreds of tilts are evaluated at once.
+    All tilts share one grid.  On the real line it is the measure's own,
+    widened when the tilts push mass towards its ends; GridFailure is raised
+    if widening fails.
     """
     hs = np.asarray(hs, dtype=float)
     work = _rebuild_for_tilts(measure, float(np.min(hs, initial=0.0)),
@@ -518,12 +506,14 @@ def tilt_table(measure: LineMeasure, hs: np.ndarray):
     return (log_z, *_mean_var(p, work.nodes))
 
 
-def expectation(measure: LineMeasure, f: Callable[[np.ndarray], np.ndarray],
-                h: float = 0.0) -> float:
-    """Expectation of f under the (normalised) tilted measure."""
-    work = _rebuild_for_tilts(measure, min(h, 0.0), max(h, 0.0))
-    _, p = tilted_weights([[h]], work.nodes[None, :], work.weights, work.log_density)
-    return float(np.sum(p[0] * f(work.nodes)))
+def tilt_moments(measure: LineMeasure, h: float) -> TiltMoments:
+    """``tilt_table`` at the one tilt h.  GridFailure is raised also when the
+    tilted variance collapses to zero: the grid cannot resolve the tilt."""
+    h = float(h)
+    (log_z,), (mean,), (variance,) = tilt_table(measure, [h])
+    if variance <= 0.0:
+        raise GridFailure("tilted variance collapsed; grid cannot resolve the tilt")
+    return TiltMoments(h=h, log_z=float(log_z), mean=float(mean), variance=float(variance))
 
 
 def check_ghs(spec: PotentialSpec) -> GhsReport:

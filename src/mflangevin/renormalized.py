@@ -34,8 +34,8 @@ from .errors import (
     NotGHS,
     OutOfRange,
 )
-from .quad1d import (CIRCLE, LineMeasure, _find_bounds, _mean_var, _rebuild_for_tilts,
-                     check_ghs, tilt_moments, tilt_table, tilted_weights)
+from .quad1d import (CIRCLE, LineMeasure, _find_bounds, _rebuild_for_tilts, check_ghs,
+                     tilt_moments, tilt_table)
 
 __all__ = [
     "RenormTable",
@@ -119,9 +119,8 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
     crossings = np.flatnonzero((dv[:-1] < -tiny) & (dv[1:] > tiny))
     if len(crossings):
         # T v' = phi - mean(phi/T) rises through each root with slope (T - var)/T
-        lo, hi = phi[crossings], phi[crossings + 1]
-        work = _rebuild_for_tilts(measure, min(lo[0] / T, 0.0), max(hi[-1] / T, 0.0))
-        roots = _bracketed_newton(work, T, lo, hi, lambda _, p, mean, var: (p - mean, T - var))
+        roots = _bracketed_newton(measure, T, phi[crossings], phi[crossings + 1],
+                                  lambda _, p, mean, var: (p - mean, T - var))
         minimizers.extend(roots.tolist())
     if not minimizers:
         if dv[0] < -tiny and dv[-1] > tiny:
@@ -161,17 +160,18 @@ def magnetization_map(measure: LineMeasure, T: float, phi: float) -> float:
     """Mean of the tilted measure exp(x*phi/T) d(alpha)."""
     if T <= 0:
         raise ValueError("temperature must be positive")
-    return float(tilt_moments(measure, phi / T, max_power=2).mean)
+    return float(tilt_moments(measure, phi / T).mean)
 
 
 _MAX_FIELD_BRACKET = 1e6
 _MAX_NEWTON_STEPS = 200
 
 
-def _bracketed_newton(work: LineMeasure, T: float, lo: np.ndarray, hi: np.ndarray,
+def _bracketed_newton(measure: LineMeasure, T: float, lo: np.ndarray, hi: np.ndarray,
                       residual) -> np.ndarray:
     """Fields where increasing functions of the field cross zero, one in each
-    bracket [lo, hi], all solved at once on the grid ``work``.
+    bracket [lo, hi], all solved at once on one grid: the measure's, widened
+    once for every tilt from lo.min()/T to hi.max()/T.
 
     ``residual(idx, phi, mean, var)`` gives two arrays for the entries
     ``idx`` at fields ``phi``, whose tilts phi/T have tilted means ``mean``
@@ -181,13 +181,12 @@ def _bracketed_newton(work: LineMeasure, T: float, lo: np.ndarray, hi: np.ndarra
     a step would leave it or d vanishes.  It stops once a step moves it by
     at most 1e-12 + 8 eps |phi|.
     """
+    work = _rebuild_for_tilts(measure, min(lo.min() / T, 0.0), max(hi.max() / T, 0.0))
     phis = 0.5 * (lo + hi)
     active = np.arange(len(phis))
     for _ in range(_MAX_NEWTON_STEPS):
         phi = phis[active]
-        _, p = tilted_weights(phi[:, None] / T, work.nodes[None, :], work.weights,
-                              work.log_density)
-        mean, var = _mean_var(p, work.nodes)
+        _, mean, var = tilt_table(work, phi / T)
         f, d = residual(active, phi, mean, var)
         lo[active] = np.where(f < 0.0, phi, lo[active])
         hi[active] = np.where(f > 0.0, phi, hi[active])
@@ -208,7 +207,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
     The conjugate field phi_m with tilted mean m inverts the magnetisation
     map, which increases strictly with derivative var/T.  A field bracket
     [-w, w] holding every m is found by doubling; then all m are solved at
-    once by ``_bracketed_newton`` on one grid widened for it.  Then
+    once by ``_bracketed_newton``.  Then
 
         fhat(m) = v(phi_m) - (phi_m - m)^2 / (2T).
     """
@@ -219,10 +218,12 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
     w, inside = start, np.zeros(m_grid.shape, dtype=bool)
     while w <= _MAX_FIELD_BRACKET:
         try:
-            inside = ((magnetization_map(measure, T, -w) < m_grid)
-                      & (m_grid < magnetization_map(measure, T, w)))
+            _, ends, var = tilt_table(measure, np.array([-w, w]) / T)
         except GridFailure:
             break  # the tilt needed is beyond what the representation resolves
+        if not np.all(var > 0.0):
+            break  # so is a tilt whose variance collapsed
+        inside = (ends[0] < m_grid) & (m_grid < ends[1])
         if np.all(inside):
             break
         if w == start:  # before widening: no mean lies outside what the largest tilts need
@@ -241,8 +242,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
     if not np.all(inside):
         raise OutOfRange(f"magnetisation {m_grid[~inside][0]} is outside the attainable range")
 
-    work = _rebuild_for_tilts(measure, -w / T, w / T)
-    phis = _bracketed_newton(work, T, np.full(m_grid.shape, -w), np.full(m_grid.shape, w),
+    phis = _bracketed_newton(measure, T, np.full(m_grid.shape, -w), np.full(m_grid.shape, w),
                              lambda idx, _, mean, var: (mean - m_grid[idx], var))
     log_z, _, _ = tilt_table(measure, phis / T)
     v = phis**2 / (2.0 * T) - log_z

@@ -1,22 +1,21 @@
+import dataclasses
+import inspect
 import json
 import os
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from mflangevin import __version__, cli, graphs
+from mflangevin import __version__, cli, dynamics, graphs, modes, quad1d, renormalized
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cli.run(list(argv))
+    return cli.run(list(argv))
 
 
 def read_json(path):
@@ -219,7 +218,6 @@ def test_simulate_estimate_plateau(tmp_path):
 
 
 def test_plateau_bound_no_symmetrize(tmp_path):
-    from mflangevin import dynamics
     # three frames in the upper well for each in the lower one, and some between
     mbar = np.repeat([1.0, 1.0, 1.0, -1.0, 0.1], 8)
     samples = tmp_path / "s.bin"
@@ -244,6 +242,29 @@ def test_bool_settings_default_to_false():
     assert true_by_default == []
 
 
+def _keywords_with_default(fn):
+    return sum(p.default is not inspect.Parameter.empty
+               for p in inspect.signature(fn).parameters.values())
+
+
+def test_settable_value_count():
+    """Every settable value is something a user must know about: a change
+    that adds or removes one edits this count and says why."""
+    cli_keys = sum(len(schema) for _, schema in cli._COMMANDS.values())
+    keywords = 0
+    for module in (quad1d, renormalized, modes, graphs, dynamics):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not inspect.isclass(obj):
+                keywords += _keywords_with_default(obj)
+                continue
+            if dataclasses.is_dataclass(obj):
+                keywords += _keywords_with_default(obj)
+            keywords += sum(_keywords_with_default(getattr(obj, attr))
+                            for attr, raw in vars(obj).items() if isinstance(raw, classmethod))
+    assert (cli_keys, keywords) == (94, 31)
+
+
 def test_simulate_circle_with_decomposition(tmp_path):
     dec_out = tmp_path / "dec"
     assert run("modes-decompose", "--kernel-coefficients", "1.0",
@@ -253,7 +274,6 @@ def test_simulate_circle_with_decomposition(tmp_path):
                "--decomposition", str(dec_out / "decomposition.json"),
                "--n", "12", "--T", "1.0", "--steps", "2000", "--burn-in", "500",
                "--thinning", "10", "--seed", "9", "--out", str(sim_out)) == 0
-    from mflangevin import dynamics
     samples, meta = dynamics.read_samples(sim_out / "samples.bin")
     assert meta["n"] == 12
     assert np.all(samples >= 0.0) and np.all(samples < 2.0 * np.pi)
@@ -276,9 +296,10 @@ def test_cov_check(tmp_path):
 
 
 def test_exit_code_numerical_failure(tmp_path):
-    code = run("simulate", "--potential", "quartic", "--lam", "0", "--n", "4",
-               "--T", "1.0", "--dt", "2.0", "--steps", "5000", "--burn-in", "0",
-               "--seed", "1", "--out", str(tmp_path / "o"))
+    with pytest.warns(RuntimeWarning, match="stiffness"):
+        code = run("simulate", "--potential", "quartic", "--lam", "0", "--n", "4",
+                   "--T", "1.0", "--dt", "2.0", "--steps", "5000", "--burn-in", "0",
+                   "--seed", "1", "--out", str(tmp_path / "o"))
     assert code == 3
 
 
@@ -292,7 +313,6 @@ def test_exit_code_io_error(tmp_path):
 @pytest.mark.parametrize("damage", ["shorter_than_header", "short_payload", "extra_payload",
                                     "bad_magic", "huge_header"])
 def test_malformed_sample_file_exit_4(tmp_path, capsys, command, damage):
-    from mflangevin import dynamics
     good = tmp_path / "good.bin"
     dynamics.write_samples(np.zeros((2, 5, 3)), good, temperature=1.0, dt=1e-3, seed=1)
     raw = good.read_bytes()
@@ -457,7 +477,6 @@ def test_unknown_format_exit_2(tmp_path, capsys):
 
 
 def test_old_sidecar_with_r_exit_2(tmp_path, capsys):
-    from mflangevin import dynamics
     samples = tmp_path / "s.bin"
     dynamics.write_samples(np.ones((1, 40, 3)), samples, temperature=1.0, dt=1e-3, seed=1)
     old = tmp_path / "sidecar.json"
@@ -467,6 +486,23 @@ def test_old_sidecar_with_r_exit_2(tmp_path, capsys):
                    "symmetrize": True}}))
     code = run("plateau-bound", "--config", str(old), "--out", str(tmp_path / "o"))
     assert_refused(code, capsys.readouterr().err, "unknown config key 'r'")
+
+
+def test_old_simulate_sidecar_with_tol_exit_2(tmp_path, capsys):
+    # simulate builds no quadrature measure, so it no longer takes tol
+    a = tmp_path / "a"
+    assert run("simulate", *SMALL_SIM, "--out", str(a)) == 0
+    side = read_json(a / "sidecar.json")
+    assert "tol" not in side["config"]
+    side["config"]["tol"] = 1e-5
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(side))
+    out = tmp_path / "o"
+    code = run("simulate", "--config", str(old), "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "unknown config key 'tol' for simulate")
+    assert not out.exists()
+    assert run("simulate", *SMALL_SIM, "--tol", "1e-5", "--out", str(out)) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_json_bool_word_false_keeps_interaction(tmp_path):

@@ -9,8 +9,8 @@ from scipy.linalg import lapack
 from scipy.special import gamma as gamma_fn
 
 from mflangevin import quad1d
-from mflangevin.errors import NonNormalizable
-from mflangevin.quad1d import PotentialSpec, build_measure, check_ghs, expectation, tilt_moments
+from mflangevin.errors import GridFailure, NonNormalizable
+from mflangevin.quad1d import PotentialSpec, build_measure, check_ghs, tilt_moments, tilt_table
 
 from conftest import adaptive_simpson
 
@@ -38,10 +38,6 @@ def test_quartic0_variance(quartic0_measure):
     assert abs(tilt_moments(quartic0_measure, 0.0).variance - QUARTIC0_VARIANCE) < 1e-10
 
 
-def test_uniform_circle_cos_mean(uniform_circle):
-    assert abs(expectation(uniform_circle, np.cos)) < 1e-14
-
-
 def test_gaussian_tilt_shifts_mean_only(gaussian_measure):
     t = tilt_moments(gaussian_measure, 0.7)
     assert abs(t.mean - 0.7) < 1e-10
@@ -63,11 +59,19 @@ def test_large_tilt_widens_domain(quartic1_measure):
     assert t.variance > 0
 
 
-def test_higher_central_moments(gaussian_measure):
-    t = tilt_moments(gaussian_measure, 0.0, max_power=6)
-    assert abs(t.central[3]) < 1e-10
-    assert abs(t.central[4] - 3.0) < 1e-8
-    assert abs(t.central[6] - 15.0) < 1e-7
+def test_collapsed_tilt_variance_raises(uniform_circle):
+    # exp(-1e5 x) underflows at every node but x = 0
+    with pytest.raises(GridFailure):
+        tilt_moments(uniform_circle, -1e5)
+
+
+def test_tilt_moments_is_tilt_table_at_one_tilt(quartic1_measure, uniform_circle):
+    hs = [0.0, 0.3, -1.7, 8.0, -60.0]
+    for measure in (quartic1_measure, uniform_circle):
+        for h in hs:
+            t = tilt_moments(measure, h)
+            row = [a[0] for a in tilt_table(measure, [h])]
+            assert np.array([t.log_z, t.mean, t.variance]).tobytes() == np.array(row).tobytes()
 
 
 # -- class check -----------------------------------------------------------------
@@ -125,7 +129,7 @@ def _zero_tilt(nodes, weights, log_density):
 
 def _check_moments(nodes, weights, log_density):
     log_z, p = _zero_tilt(nodes, weights, log_density)
-    return (log_z, *quad1d._moments(p, nodes, 4))
+    return (log_z, *quad1d._moments(p, nodes))
 
 
 @pytest.mark.parametrize("spec", [PotentialSpec.gaussian(1.0), PotentialSpec.quartic(1.0)])

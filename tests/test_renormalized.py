@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mflangevin import renormalized as rn
+from mflangevin import quad1d, renormalized as rn
 from mflangevin.errors import (
     GridTooNarrow,
     MultipleMinima,
@@ -240,6 +240,47 @@ def test_inversion_matches_brentq_oracle(case, gaussian_measure, quartic1_measur
     values = ref**2 / (2.0 * T) - log_z - (ref - ms) ** 2 / (2.0 * T)
     mid = len(ms) // 2
     assert np.max(np.abs((fe.values - fe.values[mid]) - (values - values[mid]))) < 1e-10
+
+
+_TABLE_X = np.linspace(-3.0, 3.0, 61)
+
+
+@pytest.mark.parametrize("spec", [
+    PotentialSpec.quartic(1.0), PotentialSpec.quartic(2.0), PotentialSpec.quartic(-1.0),
+    PotentialSpec.gaussian(1.0),
+    PotentialSpec.tabulated(_TABLE_X, _TABLE_X**4 / 4 - _TABLE_X**2 / 2),
+], ids=["quartic1", "quartic2", "quartic-1", "gaussian", "tabulated"])
+def test_bracketed_newton_widens_once(spec, monkeypatch):
+    """The Newton solver widens its grid once, for its whole bracket; every
+    iterate's tilts then fit that grid, which tilt_table keeps."""
+    measure = build_measure(spec)
+    t_c = rn.critical_temperature(measure)
+    original, solve = quad1d._rebuild_for_tilts, rn._bracketed_newton
+    solving, kept = [], []
+
+    def rebuild(measure, h_lo, h_hi):
+        out = original(measure, h_lo, h_hi)
+        if solving:
+            kept.append(out is measure)
+        return out
+
+    def newton(*args):
+        solving.append(True)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
+
+    # only tilt_table's calls are seen: the solver's own widening goes
+    # through the name renormalized imported
+    monkeypatch.setattr(quad1d, "_rebuild_for_tilts", rebuild)
+    monkeypatch.setattr(rn, "_bracketed_newton", newton)
+    for factor in (0.6, 0.9, 1.2, 2.0):
+        T = factor * t_c
+        rn.coarse_free_energy(measure, T, np.linspace(-0.95, 0.95, 41))
+        if factor < 1.0 and spec.kind != "gaussian":
+            table_for(measure, T, 201)  # minimisers off zero: a Newton solve
+    assert kept and all(kept)
 
 
 def test_out_of_range(gaussian_measure):
