@@ -282,10 +282,13 @@ def _cmd_simulate(config, out_dir):
         thinning=config["thinning"], replicas=config["replicas"],
         topology=topology, potential=_potential_from_config(config),
         modes=decomp, no_interaction=config["no_interaction"])
+    if config["format"] == "csv" and (sim.replicas > 1 or sim.n_particles > 64):
+        raise PreconditionError("CSV output is limited to single-replica runs with n <= 64")
     samples = dynamics.simulate(sim)
     name = "samples.csv" if config["format"] == "csv" else "samples.bin"
     if config["format"] == "csv":
-        dynamics.write_samples_csv(samples, out_dir / name)
+        header = ["step"] + [f"x_{i}" for i in range(sim.n_particles)]
+        renormalized._write_csv(out_dir / name, header, [range(sim.n_kept), *samples[0].T])
     else:
         dynamics.write_samples(samples, out_dir / name,
                                temperature=sim.temperature, dt=sim.dt, seed=sim.seed)

@@ -549,16 +549,3 @@ def read_samples(path):
             raise OSError(f"{path}: shorter than its {size} bytes when read")
     return data, {"n": n, "temperature": temperature, "dt": dt,
                   "seed": seed, "replicas": r, "frames": frames}
-
-
-def write_samples_csv(samples: np.ndarray, path) -> None:
-    """CSV form `step,x_0,...` for small single-replica runs (n <= 64)."""
-    s = _as_replica_array(samples)
-    if s.shape[0] != 1:
-        raise ValueError("CSV output is limited to single-replica runs")
-    if s.shape[2] > 64:
-        raise ValueError("CSV output is limited to n <= 64")
-    with open(path, "w") as fh:
-        fh.write("step," + ",".join(f"x_{i}" for i in range(s.shape[2])) + "\n")
-        for t in range(s.shape[1]):
-            fh.write(str(t) + "," + ",".join(f"{v:.17g}" for v in s[0, t]) + "\n")

@@ -478,6 +478,14 @@ def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
     return _hessians(psi.as_vector(decomp)[None, :], T, decomp, measure)[0]
 
 
+def _min_eigs(points: np.ndarray, T: float, decomp: ModeDecomposition,
+              measure: LineMeasure) -> np.ndarray:
+    """Smallest Hessian eigenvalue at each row of points."""
+    return np.concatenate([
+        np.linalg.eigvalsh(_hessians(points[i:i + _HESSIAN_CHUNK], T, decomp, measure))[:, 0]
+        for i in range(0, len(points), _HESSIAN_CHUNK)])
+
+
 def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeasure,
                           region: Sequence[tuple[float, float]],
                           grid: int) -> ScanResult:
@@ -496,12 +504,12 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
         raise TooManyModes("scan supports at most 3 modes plus the quadratic part")
     if len(region) != decomp.dim:
         raise ValueError(f"region must give {decomp.dim} axis bounds")
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
     # rows in itertools.product order: the last coordinate varies fastest
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, decomp.dim)
-    eigs = np.concatenate([
-        np.linalg.eigvalsh(_hessians(points[i:i + _HESSIAN_CHUNK], T, decomp, measure))[:, 0]
-        for i in range(0, len(points), _HESSIAN_CHUNK)])
+    eigs = _min_eigs(points, T, decomp, measure)
     lam = float(eigs.min())
     best = int(np.argmax(eigs <= lam + _ARGMIN_TIE * max(1.0, abs(lam))))
     return ScanResult(lambda_hat=lam, argmin=points[best],
@@ -639,12 +647,18 @@ def xy_check(T: float, radius: float = 6.0, grid: int = 41) -> XYReport:
     1/T - 1/(2 T^2); the scan must never fall below the floor."""
     if T <= 0:
         raise ValueError("temperature must be positive")
-    decomp = xy_decomposition()
-    scan = strong_convexity_scan(T, decomp, _xy_measure(),
-                                 region=[(-radius, radius)] * 2, grid=grid)
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    # V = 0 on the circle, and its 64*2^k nodes (a multiple of 4) are mapped onto
+    # nodes by theta -> -theta, pi - theta and pi/2 - theta, which act on zeta as
+    # sign flips and the swap of zeta_1 and zeta_2: the part 0 <= zeta_2 <= zeta_1
+    # of the box grid holds every spectrum of the whole grid
+    half = np.linspace(-radius, radius, grid)[grid // 2:]
+    i, j = np.tril_indices(len(half))
+    lam = float(_min_eigs(np.column_stack([half[i], half[j]]), T,
+                          xy_decomposition(), _xy_measure()).min())
     bound = 1.0 / T - 1.0 / (2.0 * T**2)
-    if scan.lambda_hat < bound - 1e-6:
+    if lam < bound - 1e-6:
         raise ConsistencyCheckFailed(
-            f"scan minimum {scan.lambda_hat:.9f} fell below the closed-form floor {bound:.9f}")
-    return XYReport(bound=bound, measured_min_eig=scan.lambda_hat,
-                    convex=bool(scan.lambda_hat > 0.0))
+            f"scan minimum {lam:.9f} fell below the closed-form floor {bound:.9f}")
+    return XYReport(bound=bound, measured_min_eig=lam, convex=bool(lam > 0.0))

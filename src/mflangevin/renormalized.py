@@ -131,7 +131,7 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
             raise GridTooNarrow(
                 "v' has no ascending zero inside the grid "
                 f"(dv ends: {dv[0]:.3g}, {dv[-1]:.3g})")
-    minimizers = np.array(sorted(set(np.round(minimizers, 12))))
+    minimizers = np.array(sorted(set(minimizers)))
 
     try:
         t_critical = critical_temperature(measure)

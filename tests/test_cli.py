@@ -280,11 +280,28 @@ def test_simulate_circle_with_decomposition(tmp_path):
 
 
 def test_simulate_csv_format(tmp_path):
-    out = tmp_path / "csv"
-    assert run("simulate", "--potential", "gaussian", "--n", "4", "--steps", "300",
-               "--burn-in", "100", "--thinning", "10", "--replicas", "1",
-               "--seed", "2", "--format", "csv", "--out", str(out)) == 0
-    assert (out / "samples.csv").read_text().startswith("step,x_0,x_1,x_2,x_3")
+    flags = ["--potential", "gaussian", "--n", "4", "--steps", "300", "--burn-in", "100",
+             "--thinning", "10", "--replicas", "1", "--seed", "2"]
+    assert run("simulate", *flags, "--format", "csv", "--out", str(tmp_path / "csv")) == 0
+    assert run("simulate", *flags, "--out", str(tmp_path / "bin")) == 0
+    samples, _ = dynamics.read_samples(tmp_path / "bin" / "samples.bin")
+    lines = (tmp_path / "csv" / "samples.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"step,x_0,x_1,x_2,x_3" and lines[-1] == b""
+    assert len(lines) == samples.shape[1] + 2
+    for t, line in enumerate(lines[1:-1]):
+        assert line == b",".join([b"%d" % t] + [b"%.17g" % v for v in samples[0, t]])
+
+
+def test_simulate_csv_limits_refused_before_run(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("simulate ran before the CSV limits were checked")
+
+    monkeypatch.setattr(dynamics, "simulate", never)
+    for flags in (["--replicas", "2"], ["--n", "65"]):
+        out = tmp_path / flags[0]
+        code = run("simulate", *SMALL_SIM, *flags, "--format", "csv", "--out", str(out))
+        assert_refused(code, capsys.readouterr().err, "CSV output is limited")
+        assert not out.exists() or os.listdir(out) == []
 
 
 def test_cov_check(tmp_path):
@@ -367,13 +384,7 @@ def test_threads_flag_rejected(tmp_path, capsys):
 
 
 def test_xy_check_below_floor_exit_3(tmp_path, capsys, monkeypatch):
-    from mflangevin import modes
-
-    def sunk_scan(T, decomp, measure, region, grid):
-        return modes.ScanResult(lambda_hat=-1.0, argmin=np.zeros(2),
-                                grid_points=np.zeros((1, 2)), min_eigs=np.array([-1.0]))
-
-    monkeypatch.setattr(modes, "strong_convexity_scan", sunk_scan)
+    monkeypatch.setattr(modes, "_min_eigs", lambda points, T, decomp, measure: np.array([-1.0]))
     code = run("xy-check", "--T", "1.0", "--grid", "5", "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 3
@@ -565,6 +576,18 @@ def test_malformed_decomposition_exit_2(tmp_path, capsys, command, name):
 def test_cov_check_refuses_unmeasurable_sizes(tmp_path, capsys, flags):
     code = run("cov-check", *flags, "--pairs", "1", "--out", str(tmp_path / "o"))
     assert_refused(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("command", ["xy-check", "scan-convexity"])
+def test_empty_scan_grid_exit_2(tmp_path, capsys, command, grid):
+    extra = []
+    if command == "scan-convexity":
+        dec = tmp_path / "dec.json"
+        dec.write_text(modes.fourier_decompose([1.0], 1).to_json())
+        extra = ["--decomposition", str(dec)]
+    code = run(command, *extra, "--grid", grid, "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, f"grid must be >= 1, got {grid}")
 
 
 def test_regular_graph_refuses_fractional_degree(tmp_path, capsys):

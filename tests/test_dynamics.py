@@ -564,15 +564,3 @@ def test_read_samples_from_pipe(tmp_path):
     finally:
         os.close(r)
     assert back.tobytes() == s.tobytes() and meta["frames"] == 10
-
-
-def test_csv_writer_limits(tmp_path):
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        dy.write_samples_csv(rng.standard_normal((2, 5, 4)), tmp_path / "a.csv")
-    with pytest.raises(ValueError):
-        dy.write_samples_csv(rng.standard_normal((1, 5, 65)), tmp_path / "b.csv")
-    dy.write_samples_csv(rng.standard_normal((1, 5, 4)), tmp_path / "c.csv")
-    lines = (tmp_path / "c.csv").read_text().splitlines()
-    assert lines[0] == "step,x_0,x_1,x_2,x_3"
-    assert len(lines) == 6

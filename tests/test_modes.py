@@ -518,3 +518,30 @@ def test_xy_check_values():
     assert abs(r.measured_min_eig) < 1e-3
     r = md.xy_check(0.4, grid=21)
     assert abs(r.bound + 0.625) < 1e-12 and not r.convex
+
+
+@pytest.mark.parametrize("grid", [5, 21, 41, 6, 40])
+def test_xy_check_matches_full_grid_scan(grid, xy):
+    # the reference scans the whole grid; xy_check scans 0 <= zeta_2 <= zeta_1
+    for T in (0.35, 0.45, 0.5, 0.55, 0.75, 1.0, 1.2):
+        full = md.strong_convexity_scan(T, xy, md._xy_measure(), [(-6.0, 6.0)] * 2, grid)
+        measured = md.xy_check(T, grid=grid).measured_min_eig
+        if grid % 2:
+            assert measured == full.lambda_hat
+        else:
+            # linspace(-6, 6, grid) mirrors itself only up to rounding, and the
+            # minimum is the difference of two terms of size 1/T (zero at T = 1/2)
+            assert abs(measured - full.lambda_hat) <= 1e-14 / T
+
+
+def test_xy_check_scans_the_fundamental_domain(monkeypatch):
+    rows = []
+    hessians = md._hessians
+
+    def counted(zetas, *args):
+        rows.append(len(zetas))
+        return hessians(zetas, *args)
+
+    monkeypatch.setattr(md, "_hessians", counted)
+    md.xy_check(0.7)
+    assert sum(rows) == 231  # 21 * 22 / 2 of the 41 * 41 grid points

@@ -203,6 +203,14 @@ def test_minimizers_match_brentq_oracle(case):
         assert np.max(np.abs(table.minimizers - ref)) <= 1e-10
 
 
+def test_symmetric_minimizers_written_symmetric():
+    # the two roots lie 4e-16 apart in magnitude, on either side of a 12-digit
+    # rounding boundary: rounding would write them 1e-12 apart
+    m0, m1 = table_for(build_measure(PotentialSpec.quartic(2.0), 1e-10),
+                       0.877158579775227).minimizers
+    assert abs(m0 + m1) <= 4.0 * np.finfo(float).eps * abs(m1)
+
+
 def test_newton_bisects_where_the_slope_vanishes(gaussian_measure):
     # with every slope 0 each Newton step divides by zero: it must bisect, without a warning
     lo, hi = np.full(3, -4.0), np.full(3, 4.0)
