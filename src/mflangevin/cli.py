@@ -3,21 +3,24 @@
 Every library operation is exposed as a subcommand whose settings come from
 a config file (a section of a flat INI file, a JSON object, or a previous
 run's sidecar) overridden by flags, all typed by one parser per schema kind.
-It writes machine output into ``--out`` and records a JSON sidecar
-``{version, command, config, seed, outputs}`` alongside.  Re-running a
-command from its sidecar (``--config sidecar.json``) reproduces the output
-files byte for byte.
+It writes machine output into ``--out``, each file whole or not at all,
+then a JSON sidecar ``{version, command, config, seed, outputs}`` listing
+those files.  Re-running a command from its sidecar (``--config
+sidecar.json``) reproduces the output files byte for byte.
 
-Exit codes: 0 success, 2 precondition violation, 3 numerical failure,
-4 I/O error.  Human-readable summaries go to stdout; machine-readable data
-only to files.
+Exit codes: 0 success, 2 precondition violation (a missing required key
+too), 3 numerical failure (running out of memory too), 4 I/O error.
+Human-readable summaries go to stdout; machine-readable data only to files.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -107,7 +110,8 @@ def _read_config(path: str, command: str) -> dict:
 
 
 def _resolve_config(command: str, schema: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, every value typed by ``_typed``."""
+    """defaults < config file < explicit flags, every value typed by ``_typed``.
+    A key whose schema default is None has no default: it must be given."""
     config = {key: default for key, (_, default) in schema.items()}
     raw = _read_config(args.config, command) if args.config else {}
     raw.update((key, flag) for key, flag in vars(args).items()
@@ -116,13 +120,47 @@ def _resolve_config(command: str, schema: dict, args: argparse.Namespace) -> dic
         if key not in schema:
             raise PreconditionError(f"unknown config key {key!r} for {command}")
         config[key] = _typed(key, schema[key][0], value)
+    for key, value in config.items():
+        if value is None:
+            raise PreconditionError(f"{command} needs config key {key!r}")
     return config
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Outputs:
+    """A run's files in ``--out``: each is written under a temporary name and
+    moved onto its own by ``os.replace`` once complete, so a failed write
+    leaves no partial file and keeps the one an earlier run left.
+    ``written`` lists the names in the order they landed."""
+
+    def __init__(self, out_dir: Path):
+        self.dir = out_dir
+        self.written: list[str] = []
+
+    @contextlib.contextmanager
+    def path(self, name: str):
+        """A temporary path that becomes ``name`` when the block completes."""
+        tmp = self.dir / f".{name}.{os.getpid()}.tmp"
+        try:
+            yield tmp
+            os.replace(tmp, self.dir / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self.written.append(name)
+
+    def json(self, name: str, payload: dict) -> None:
+        with self.path(name) as tmp, open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def csv(self, name: str, header: list[str], columns) -> None:
+        """Write the header row, then one row per entry of the equal-length
+        ``columns``, each value as ``%.17g``, in the ``csv`` module's dialect."""
+        columns = [np.asarray(c).tolist() for c in columns]
+        row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+        with self.path(name) as tmp, open(tmp, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            fh.writelines(row % values for values in zip(*columns))
 
 
 def _potential_from_config(config: dict) -> quad1d.PotentialSpec:
@@ -155,15 +193,14 @@ _MEASURE_SCHEMA = {**_POTENTIAL_SCHEMA, "tol": (float, 1e-10)}  # build_measure'
 
 # -- subcommand handlers --------------------------------------------------------------
 
-def _cmd_tc(config, out_dir):
+def _cmd_tc(config, out):
     measure = _measure_from_config(config)
     t_c = renormalized.critical_temperature(measure)
-    _write_json(out_dir / "tc.json", {"t_critical": t_c, "potential": config["potential"]})
+    out.json("tc.json", {"t_critical": t_c, "potential": config["potential"]})
     print(f"T_c = {t_c:.6g}")
-    return ["tc.json"]
 
 
-def _cmd_scan_vt(config, out_dir):
+def _cmd_scan_vt(config, out):
     measure = _measure_from_config(config)
     T = config["T"]
     if config["phi_max"] > 0:
@@ -171,10 +208,13 @@ def _cmd_scan_vt(config, out_dir):
     else:
         grid = renormalized.auto_phi_grid(measure, T, config["points"])
     table = renormalized.renorm_potential(measure, T, grid)
-    renormalized.write_renorm_table(table, out_dir / "renorm.csv", out_dir / "renorm.json")
+    out.csv("renorm.csv", ["phi", "v", "dv", "ddv"],
+            [table.phi_grid, table.v, table.dv, table.ddv])
+    out.json("renorm.json", {
+        "T": table.temperature, "t_critical": table.t_critical,
+        "curvature_floor": table.curvature_floor, "minimizers": table.minimizers.tolist()})
     print(f"T = {T:.6g}: curvature floor {table.curvature_floor:.6g}, "
           f"{len(table.minimizers)} minimiser(s)")
-    return ["renorm.csv", "renorm.json"]
 
 
 def _free_energy_table(config):
@@ -182,60 +222,55 @@ def _free_energy_table(config):
     return renormalized.coarse_free_energy(_measure_from_config(config), config["T"], m_grid)
 
 
-def _cmd_free_energy(config, out_dir):
+def _cmd_free_energy(config, out):
     T, table = config["T"], _free_energy_table(config)
-    renormalized._write_csv(out_dir / "free_energy.csv", ["m", "fhat"],
-                            [table.m_grid, table.values])
-    _write_json(out_dir / "free_energy.json", {"T": T, "points": int(config["points"])})
+    out.csv("free_energy.csv", ["m", "fhat"], [table.m_grid, table.values])
+    out.json("free_energy.json", {"T": T, "points": int(config["points"])})
     print(f"free energy tabulated on [{config['m_min']}, {config['m_max']}] at T = {T:.6g}")
-    return ["free_energy.csv", "free_energy.json"]
 
 
-def _cmd_pl(config, out_dir):
+def _cmd_pl(config, out):
     T, gamma = config["T"], renormalized.pl_constant(_free_energy_table(config))
-    _write_json(out_dir / "pl.json", {"T": T, "pl_constant": gamma})
+    out.json("pl.json", {"T": T, "pl_constant": gamma})
     print(f"PL constant at T = {T:.6g}: {gamma:.6g}")
-    return ["pl.json"]
 
 
-def _cmd_modes_decompose(config, out_dir):
+def _cmd_modes_decompose(config, out):
     kernel = config["kernel_coefficients"]
     if config["kernel_file"]:
         kernel = list(np.loadtxt(config["kernel_file"], delimiter=",").ravel())
     decomp = modes.fourier_decompose(kernel, config["max_frequency"], config["tol"])
-    (out_dir / "decomposition.json").write_text(decomp.to_json() + "\n")
+    with out.path("decomposition.json") as path:
+        path.write_text(decomp.to_json() + "\n")
     print(f"{len(decomp.neg_modes)} mode(s) / {len(decomp.pos_modes)} flat-convex, "
           f"M = {decomp.m_bound:.6g}, L = {decomp.l_bound:.6g}")
-    return ["decomposition.json"]
 
 
 def _decomposition(path: str) -> modes.ModeDecomposition:
     return modes.ModeDecomposition.from_json(Path(path).read_text())
 
 
-def _cmd_scan_convexity(config, out_dir):
+def _cmd_scan_convexity(config, out):
     decomp = _decomposition(config["decomposition"])
     measure = _measure_from_config(config)
     region = [(-config["radius"], config["radius"])] * decomp.dim
     scan = modes.strong_convexity_scan(config["T"], decomp, measure, region, config["grid"])
     header = [f"zeta_{k + 1}" for k in range(decomp.dim)] + ["min_eig"]
-    renormalized._write_csv(out_dir / "scan.csv", header, [*scan.grid_points.T, scan.min_eigs])
-    _write_json(out_dir / "scan.json", {
+    out.csv("scan.csv", header, [*scan.grid_points.T, scan.min_eigs])
+    out.json("scan.json", {
         "T": config["T"], "lambda_hat": scan.lambda_hat,
         "argmin": [float(v) for v in scan.argmin]})
     print(f"lambda_hat = {scan.lambda_hat:.6g} at zeta = {list(map(float, scan.argmin))}")
-    return ["scan.csv", "scan.json"]
 
 
-def _cmd_xy_check(config, out_dir):
+def _cmd_xy_check(config, out):
     report = modes.xy_check(config["T"], radius=config["radius"], grid=config["grid"])
-    _write_json(out_dir / "xy_check.json", {"T": config["T"], **asdict(report)})
+    out.json("xy_check.json", {"T": config["T"], **asdict(report)})
     print(f"T = {config['T']:.6g}: bound {report.bound:.5f}, "
           f"measured {report.measured_min_eig:.5f}, convex = {report.convex}")
-    return ["xy_check.json"]
 
 
-def _cmd_un_gap(config, out_dir):
+def _cmd_un_gap(config, out):
     decomp = (_decomposition(config["decomposition"]) if config["decomposition"]
               else modes.xy_decomposition())
     measure = _measure_from_config(config)
@@ -245,35 +280,33 @@ def _cmd_un_gap(config, out_dir):
         res = modes.un_small_n(psi, config["T"], decomp, measure, n)
         rows.append((n, res.u_n, res.u_limiting, res.gap))
         print(f"N = {n}: finite-N value {res.u_n:.8f}, gap {res.gap:.8f}")
-    renormalized._write_csv(out_dir / "un_gap.csv", ["n", "u_n", "u_limit", "gap"], zip(*rows))
-    _write_json(out_dir / "un_gap.json", {
+    out.csv("un_gap.csv", ["n", "u_n", "u_limit", "gap"], zip(*rows))
+    out.json("un_gap.json", {
         "T": config["T"], "psi": config["psi"],
         "gaps": {str(n): g for n, _, _, g in rows}})
-    return ["un_gap.csv", "un_gap.json"]
 
 
-def _cmd_graph_gen(config, out_dir):
+def _cmd_graph_gen(config, out):
     if config["kind"] == "regular":
         if config["d"] % 1:  # also true for inf and nan
             raise PreconditionError(f"a regular graph needs an integral d, not {config['d']!r}")
         g = graphs.gen_rrg(config["n"], int(config["d"]), config["seed"])
     else:
         g = graphs.gen_er(config["n"], config["d"], config["seed"])
-    graphs.write_edge_list(g, out_dir / "graph.edges")
+    with out.path("graph.edges") as path:
+        graphs.write_edge_list(g, path)
     print(f"{config['kind']} graph: n = {g.n}, {len(g.edges)} edges")
-    return ["graph.edges"]
 
 
-def _cmd_graph_spectrum(config, out_dir):
+def _cmd_graph_spectrum(config, out):
     g = graphs.read_edge_list(config["graph"])
     report = graphs.spectral_report(g)
-    _write_json(out_dir / "spectrum.json", asdict(report))
+    out.json("spectrum.json", asdict(report))
     print(f"epsilon = {report.epsilon:.6g} (top singular {report.top_singular:.6g}, "
           f"{report.iterations} iterations)")
-    return ["spectrum.json"]
 
 
-def _cmd_simulate(config, out_dir):
+def _cmd_simulate(config, out):
     topology = graphs.read_edge_list(config["graph"]) if config["graph"] else "complete"
     decomp = _decomposition(config["decomposition"]) if config["decomposition"] else None
     sim = dynamics.SimConfig(
@@ -285,45 +318,41 @@ def _cmd_simulate(config, out_dir):
     if config["format"] == "csv" and (sim.replicas > 1 or sim.n_particles > 64):
         raise PreconditionError("CSV output is limited to single-replica runs with n <= 64")
     samples = dynamics.simulate(sim)
-    name = "samples.csv" if config["format"] == "csv" else "samples.bin"
     if config["format"] == "csv":
         header = ["step"] + [f"x_{i}" for i in range(sim.n_particles)]
-        renormalized._write_csv(out_dir / name, header, [range(sim.n_kept), *samples[0].T])
+        out.csv("samples.csv", header, [range(sim.n_kept), *samples[0].T])
     else:
-        dynamics.write_samples(samples, out_dir / name,
-                               temperature=sim.temperature, dt=sim.dt, seed=sim.seed)
+        with out.path("samples.bin") as path:
+            dynamics.write_samples(samples, path,
+                                   temperature=sim.temperature, dt=sim.dt, seed=sim.seed)
     print(f"simulated {sim.replicas} replica(s) x {sim.n_kept} kept states of n = {sim.n_particles}")
-    return [name]
 
 
-def _cmd_estimate(config, out_dir):
+def _cmd_estimate(config, out):
     samples, meta = dynamics.read_samples(config["samples"])
     report = dynamics.estimate(samples, subtract_mean=config["subtract_mean"])
-    _write_json(out_dir / "estimate.json", {**asdict(report), "input_meta": meta})
+    out.json("estimate.json", {**asdict(report), "input_meta": meta})
     print(f"chi = {report.chi:.6g} +- {report.chi_stderr:.2g}, "
           f"gap upper bound 1/chi = {report.gap_upper_chi:.6g}")
-    return ["estimate.json"]
 
 
-def _cmd_plateau_bound(config, out_dir):
+def _cmd_plateau_bound(config, out):
     samples, _ = dynamics.read_samples(config["samples"])
     if not config["no_symmetrize"]:
         samples = dynamics.symmetrize(samples)
     bound = dynamics.plateau_gap_bound(samples, config["m_plus"], config["delta"])
-    _write_json(out_dir / "plateau.json", asdict(bound))
+    out.json("plateau.json", asdict(bound))
     print(f"plateau gap bound = {bound.bound:.6g} "
           f"(window visits {bound.n_window}, flag {bound.flag})")
-    return ["plateau.json"]
 
 
-def _cmd_cov_check(config, out_dir):
+def _cmd_cov_check(config, out):
     report = dynamics.covariance_bound_check(config["n"], config["seed"],
                                              n_samples=config["samples"],
                                              n_pairs=config["pairs"])
-    _write_json(out_dir / "cov_check.json", asdict(report))
+    out.json("cov_check.json", asdict(report))
     print(f"worst covariance ratio = {report.worst_ratio:.4f} "
           f"+- {report.worst_ratio_stderr:.4f} (bound 1)")
-    return ["cov_check.json"]
 
 
 _COMMANDS = {
@@ -340,7 +369,7 @@ _COMMANDS = {
         "max_frequency": (int, 8), "tol": (float, 1e-8)}),
     "scan-convexity": (_cmd_scan_convexity, {
         **_MEASURE_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
-        "decomposition": (str, ""), "T": (float, 1.0), "radius": (float, 6.0),
+        "decomposition": (str, None), "T": (float, 1.0), "radius": (float, 6.0),
         "grid": (int, 41)}),
     "xy-check": (_cmd_xy_check, {"T": (float, 1.0), "radius": (float, 6.0),
                                  "grid": (int, 41)}),
@@ -350,16 +379,16 @@ _COMMANDS = {
         "n_values": ("ints", [1, 2, 4])}),
     "graph-gen": (_cmd_graph_gen, {"kind": (("regular", "erdos_renyi"), "regular"),
                                    "n": (int, 1000), "d": (float, 20), "seed": (int, 1)}),
-    "graph-spectrum": (_cmd_graph_spectrum, {"graph": (str, "")}),
+    "graph-spectrum": (_cmd_graph_spectrum, {"graph": (str, None)}),
     "simulate": (_cmd_simulate, {
         **_POTENTIAL_SCHEMA, "n": (int, 100), "T": (float, 2.0), "dt": (float, 1e-3),
         "steps": (int, 200_000), "burn_in": (int, 20_000), "thinning": (int, 10),
         "replicas": (int, 1), "seed": (int, 1), "graph": (str, ""),
         "decomposition": (str, ""), "no_interaction": (bool, False),
         "format": (("binary", "csv"), "binary")}),
-    "estimate": (_cmd_estimate, {"samples": (str, ""), "subtract_mean": (bool, False)}),
+    "estimate": (_cmd_estimate, {"samples": (str, None), "subtract_mean": (bool, False)}),
     "plateau-bound": (_cmd_plateau_bound, {
-        "samples": (str, ""), "m_plus": (float, 1.0), "delta": (float, 0.2),
+        "samples": (str, None), "m_plus": (float, 1.0), "delta": (float, 0.2),
         "no_symmetrize": (bool, False)}),
     "cov-check": (_cmd_cov_check, {"n": (int, 5), "seed": (int, 1),
                                    "samples": (int, 1_000_000), "pairs": (int, 10)}),
@@ -395,18 +424,18 @@ def run(argv: list[str]) -> int:
     handler, schema = _COMMANDS[args.command]
     try:
         config = _resolve_config(args.command, schema, args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = handler(config, out_dir)
-        _write_json(out_dir / "sidecar.json", {
+        out = _Outputs(Path(args.out))
+        out.dir.mkdir(parents=True, exist_ok=True)
+        handler(config, out)
+        out.json("sidecar.json", {
             "version": __version__, "command": args.command, "config": config,
-            "seed": config.get("seed"), "outputs": outputs})
+            "seed": config.get("seed"), "outputs": list(out.written)})
         return 0
     except (PreconditionError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:  # numpy says what it could not allocate
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except MeanFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,7 +139,6 @@ class EstimatorReport:
     abs_magnetisation: float
     gap_upper_chi: float
     samples_used: int
-    gap_upper_plateau: float | None = None
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,7 @@ def susceptibility(samples: np.ndarray, subtract_mean: bool = False) -> Suscepti
                           degenerate=bool(chi < 1e-300))
 
 
-def estimate(samples: np.ndarray, subtract_mean: bool = False,
-             plateau: PlateauBound | None = None) -> EstimatorReport:
+def estimate(samples: np.ndarray, subtract_mean: bool = False) -> EstimatorReport:
     """Assemble the standard estimator report from a sample array."""
     s = _as_replica_array(samples)
     sus = susceptibility(s, subtract_mean=subtract_mean)
@@ -327,8 +325,7 @@ def estimate(samples: np.ndarray, subtract_mean: bool = False,
         mean_magnetisation=float(mbar.mean()),
         abs_magnetisation=float(np.abs(mbar.mean(axis=1)).mean()),
         gap_upper_chi=1.0 / sus.chi if not sus.degenerate else np.inf,
-        samples_used=sus.samples_used,
-        gap_upper_plateau=plateau.bound if plateau is not None else None)
+        samples_used=sus.samples_used)
 
 
 def symmetrize(samples: np.ndarray) -> np.ndarray:

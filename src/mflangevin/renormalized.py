@@ -19,8 +19,6 @@ resulting quadratic log-Sobolev bound.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "coarse_free_energy",
     "pl_constant",
     "lsi_bound_quadratic",
-    "write_renorm_table",
 ]
 
 _ROOT_TOL = 1e-12  # two digits below the 1e-10 contract for downstream slack
@@ -294,27 +291,3 @@ def lsi_bound_quadratic(T: float, curvature_floor: float, gamma_v: float) -> flo
         raise ValueError("gamma_v must be positive")
     return 1.0 / gamma_v + 1.0 / (gamma_v**2 * T**2 * curvature_floor)
 
-
-def _write_csv(path, header: list[str], columns) -> None:
-    """Write the header row, then one row per entry of the equal-length
-    ``columns``, each value as ``%.17g``, in the ``csv`` module's dialect."""
-    columns = [np.asarray(c).tolist() for c in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(row % values for values in zip(*columns))
-
-
-def write_renorm_table(table: RenormTable, csv_path, json_path) -> None:
-    """Emit the table as CSV (phi,v,dv,ddv) with a JSON sidecar."""
-    _write_csv(csv_path, ["phi", "v", "dv", "ddv"],
-               [table.phi_grid, table.v, table.dv, table.ddv])
-    sidecar = {
-        "T": table.temperature,
-        "t_critical": table.t_critical,
-        "curvature_floor": table.curvature_floor,
-        "minimizers": [float(x) for x in table.minimizers],
-    }
-    with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

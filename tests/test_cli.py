@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -81,6 +82,13 @@ def readme_commands():
 
 def test_readme_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    landed, replace = [], os.replace
+
+    def recording_replace(src, dst):
+        replace(src, dst)
+        landed.append(Path(dst))
+
+    monkeypatch.setattr(os, "replace", recording_replace)
     commands = readme_commands()
     assert len(commands) > 10 and all(argv[0] == "mfl" for argv in commands)
     for argv in commands:  # in one process, so every subcommand shares the parser
@@ -90,6 +98,13 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert names == sorted(path.name for path in again.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    # every run directory holds its outputs, in the order they landed, then the
+    # sidecar that lists them, and no temporary file
+    for run_dir in (tmp_path / "runs").iterdir():
+        outputs = read_json(run_dir / "sidecar.json")["outputs"]
+        order = [path.name for path in landed if path.parent.name == run_dir.name]
+        assert order == [*outputs, "sidecar.json"], run_dir.name
+        assert sorted(os.listdir(run_dir)) == sorted(order), run_dir.name
 
 
 def test_sidecar_command_mismatch(tmp_path):
@@ -262,7 +277,7 @@ def test_settable_value_count():
                 keywords += _keywords_with_default(obj)
             keywords += sum(_keywords_with_default(getattr(obj, attr))
                             for attr, raw in vars(obj).items() if isinstance(raw, classmethod))
-    assert (cli_keys, keywords) == (94, 31)
+    assert (cli_keys, keywords) == (94, 29)
 
 
 def test_simulate_circle_with_decomposition(tmp_path):
@@ -389,6 +404,92 @@ def test_xy_check_below_floor_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_scan_vt_renorm_files(tmp_path):
+    out = tmp_path / "vt"
+    assert run("scan-vt", "--potential", "gaussian", "--curvature", "1", "--T", "2",
+               "--points", "11", "--out", str(out)) == 0
+    lines = (out / "renorm.csv").read_text().splitlines()
+    assert lines[0] == "phi,v,dv,ddv"
+    assert len(lines) == 12
+    side = read_json(out / "renorm.json")
+    assert set(side) == {"T", "t_critical", "curvature_floor", "minimizers"}
+
+
+def _csv_rows_one_by_one(path, header, rows, fmt):
+    """The reference: one ``csv`` row per tuple, each value formatted alone."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_writer_keeps_both_formats(tmp_path):
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, tiny, -tiny, 3 * tiny,
+                        np.finfo(float).tiny / 3, np.finfo(float).max, 0.1, -1 / 3, 1e22,
+                        2.0**-1074 * 12345, 123456789012345678.0, 1.0])
+    rng = np.random.default_rng(5)
+    columns = [special, rng.permutation(special),
+               rng.standard_normal(len(special)) * 10.0 ** rng.integers(-300, 300, len(special))]
+    header = ["a", "b", "c"]
+    out = cli._Outputs(tmp_path)
+    out.csv("new.csv", header, columns)
+    new = (tmp_path / "new.csv").read_bytes()
+    # the renorm table formatted numpy scalars with an f-string, the CLI with %
+    _csv_rows_one_by_one(tmp_path / "f.csv", header, zip(*columns), lambda x: f"{x:.17g}")
+    _csv_rows_one_by_one(tmp_path / "pct.csv", header, zip(*columns), lambda x: "%.17g" % x)
+    assert new == (tmp_path / "f.csv").read_bytes() == (tmp_path / "pct.csv").read_bytes()
+    assert b"-inf" in new and b"nan" in new and b"-0," in new and b"4.9406564584124654e-324" in new
+    # integer columns (un-gap's N) and an empty table
+    out.csv("int.csv", ["n", "x"], [[1, 2, 4], [0.5, -0.0, np.nan]])
+    _csv_rows_one_by_one(tmp_path / "int_ref.csv", ["n", "x"],
+                         [(1, 0.5), (2, -0.0), (4, np.nan)], lambda x: "%.17g" % x)
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "int_ref.csv").read_bytes()
+    out.csv("empty.csv", ["n", "x"], [[], []])
+    assert (tmp_path / "empty.csv").read_bytes() == b"n,x\r\n"
+    assert out.written == ["new.csv", "int.csv", "empty.csv"]
+
+
+@pytest.mark.parametrize("error, code", [(OSError("disk full"), 4), (MemoryError(), 3)])
+def test_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path, capsys, monkeypatch,
+                                                           error, code):
+    flags = ["simulate", *SMALL_SIM, "--seed", "3"]
+    kept = tmp_path / "kept"
+    assert run(*flags, "--out", str(kept)) == 0
+    before = {path.name: path.read_bytes() for path in kept.iterdir()}
+
+    def partial_write(samples, path, **meta):
+        Path(path).write_bytes(b"partial")
+        raise error
+
+    monkeypatch.setattr(dynamics, "write_samples", partial_write)
+    fresh = tmp_path / "fresh"
+    assert run(*flags, "--out", str(fresh)) == code
+    assert os.listdir(fresh) == []
+    assert run(*flags, "--out", str(kept)) == code
+    assert {path.name: path.read_bytes() for path in kept.iterdir()} == before
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
+def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 5.08 GiB for an array with shape (801, 851510) "
+               "and data type float64")
+
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(renormalized, "renorm_potential", too_large)
+    out = tmp_path / "o"
+    code = run("scan-vt", "--potential", "gaussian", "--T", "2", "--phi-max", "20000",
+               "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"numerical failure: {message}\n"
+    assert os.listdir(out) == []
 
 
 def test_writes_stay_inside_out(tmp_path, monkeypatch):
@@ -570,6 +671,16 @@ def test_malformed_decomposition_exit_2(tmp_path, capsys, command, name):
     extra = SMALL_SIM if command == "simulate" else []
     code = run(command, "--decomposition", str(path), *extra, "--out", str(tmp_path / "o"))
     assert_refused(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, key", [("estimate", "samples"), ("plateau-bound", "samples"),
+                                          ("graph-spectrum", "graph"),
+                                          ("scan-convexity", "decomposition")])
+def test_missing_required_key_exit_2(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    code = run(command, "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, f"{command} needs config key {key!r}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "2", "--samples", "10"]])

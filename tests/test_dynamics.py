@@ -333,7 +333,6 @@ def test_estimate_report_fields():
     assert rep.gap_upper_chi == pytest.approx(1.0 / rep.chi)
     assert abs(rep.mean_magnetisation - 0.3) < 0.05
     assert rep.abs_magnetisation > 0
-    assert rep.gap_upper_plateau is None
 
 
 def test_symmetrize_zero_mean():

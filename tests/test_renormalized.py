@@ -1,4 +1,3 @@
-import csv
 import time
 import tracemalloc
 import warnings
@@ -451,47 +450,3 @@ def test_constant_shift_invariance(quartic1_tc):
     fb = rn.coarse_free_energy(m_b, T, ms).values
     assert np.max(np.abs((fa - fa[20]) - (fb - fb[20]))) < 1e-10
 
-
-def test_write_renorm_table(tmp_path, gaussian_measure):
-    t = table_for(gaussian_measure, 2.0, points=11)
-    rn.write_renorm_table(t, tmp_path / "r.csv", tmp_path / "r.json")
-    lines = (tmp_path / "r.csv").read_text().splitlines()
-    assert lines[0] == "phi,v,dv,ddv"
-    assert len(lines) == 12
-    import json
-    side = json.loads((tmp_path / "r.json").read_text())
-    assert set(side) == {"T", "t_critical", "curvature_floor", "minimizers"}
-
-
-def _csv_rows_one_by_one(path, header, rows, fmt):
-    """The reference: one ``csv`` row per tuple, each value formatted alone."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-
-
-def test_csv_writer_keeps_both_formats(tmp_path):
-    tiny = np.finfo(float).smallest_subnormal
-    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, tiny, -tiny, 3 * tiny,
-                        np.finfo(float).tiny / 3, np.finfo(float).max, 0.1, -1 / 3, 1e22,
-                        2.0**-1074 * 12345, 123456789012345678.0, 1.0])
-    rng = np.random.default_rng(5)
-    columns = [special, rng.permutation(special),
-               rng.standard_normal(len(special)) * 10.0 ** rng.integers(-300, 300, len(special))]
-    header = ["a", "b", "c"]
-    rn._write_csv(tmp_path / "new.csv", header, columns)
-    new = (tmp_path / "new.csv").read_bytes()
-    # the renorm table formatted numpy scalars with an f-string, the CLI with %
-    _csv_rows_one_by_one(tmp_path / "f.csv", header, zip(*columns), lambda x: f"{x:.17g}")
-    _csv_rows_one_by_one(tmp_path / "pct.csv", header, zip(*columns), lambda x: "%.17g" % x)
-    assert new == (tmp_path / "f.csv").read_bytes() == (tmp_path / "pct.csv").read_bytes()
-    assert b"-inf" in new and b"nan" in new and b"-0," in new and b"4.9406564584124654e-324" in new
-    # integer columns (un-gap's N) and an empty table
-    rn._write_csv(tmp_path / "int.csv", ["n", "x"], [[1, 2, 4], [0.5, -0.0, np.nan]])
-    _csv_rows_one_by_one(tmp_path / "int_ref.csv", ["n", "x"],
-                         [(1, 0.5), (2, -0.0), (4, np.nan)], lambda x: "%.17g" % x)
-    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "int_ref.csv").read_bytes()
-    rn._write_csv(tmp_path / "empty.csv", ["n", "x"], [[], []])
-    assert (tmp_path / "empty.csv").read_bytes() == b"n,x\r\n"
