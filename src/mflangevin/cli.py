@@ -5,7 +5,8 @@ a config file (a section of a flat INI file, a JSON object, or a previous
 run's sidecar) overridden by flags, all typed by one parser per schema kind.
 It writes machine output into ``--out``, each file whole or not at all,
 then a JSON sidecar ``{version, command, config, seed, outputs}`` listing
-those files.  Re-running a command from its sidecar (``--config
+those files, and removes the files the sidecar it replaced listed that this
+run did not write.  Re-running a command from its sidecar (``--config
 sidecar.json``) reproduces the output files byte for byte.
 
 Exit codes: 0 success, 2 precondition violation (a missing required key
@@ -161,6 +162,18 @@ class _Outputs:
         with self.path(name) as tmp, open(tmp, "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             fh.writelines(row % values for values in zip(*columns))
+
+
+def _listed_outputs(sidecar: Path) -> set:
+    """The plain file names, but its own, that a sidecar lists under
+    ``outputs``; none when it is missing or does not parse."""
+    try:
+        names = json.loads(sidecar.read_text())["outputs"]
+        if isinstance(names, list):
+            return {n for n in names if os.path.basename(n) == n != sidecar.name}
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return set()
 
 
 def _potential_from_config(config: dict) -> quad1d.PotentialSpec:
@@ -427,9 +440,13 @@ def run(argv: list[str]) -> int:
         out = _Outputs(Path(args.out))
         out.dir.mkdir(parents=True, exist_ok=True)
         handler(config, out)
+        stale = _listed_outputs(out.dir / "sidecar.json").difference(out.written)
         out.json("sidecar.json", {
             "version": __version__, "command": args.command, "config": config,
             "seed": config.get("seed"), "outputs": list(out.written)})
+        for name in stale:  # an earlier run's files that this one did not replace
+            if (out.dir / name).is_file():
+                (out.dir / name).unlink()
         return 0
     except (PreconditionError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .errors import (
     TruncationTooCoarse,
     Unsupported,
 )
-from .quad1d import LineMeasure, PotentialSpec, build_measure, tilted_weights
+from .quad1d import LineMeasure, PotentialSpec, _tilted_masses, build_measure, tilted_weights
 
 __all__ = [
     "Mode",
@@ -429,8 +429,8 @@ def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
         raise ValueError("temperature must be positive")
     if not decomp.pos_modes:
         fields = np.vstack([np.zeros(decomp.dim), psi.as_vector(decomp) / T])
-        log_z, _ = tilted_weights(fields, decomp.weighted_modes(measure.nodes),
-                                  measure.weights, measure.log_density)
+        log_z, _, _ = _tilted_masses(fields, decomp.weighted_modes(measure.nodes),
+                                     measure.weights, measure.log_density)
         return -float(log_z[1] - log_z[0])
 
     dens = self_consistent_density(psi, T, decomp, measure)
@@ -455,7 +455,7 @@ def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
         raise Unsupported("Hessian closed form requires an empty flat-convex part")
     nm = decomp.weighted_modes(measure.nodes)                    # (dim, n)
     _, p = tilted_weights(zetas / T, nm, measure.weights, measure.log_density)
-    centred = nm[None, :, :] - (p @ nm.T)[:, :, None]            # (B, dim, n)
+    centred = nm[None, :, :] - np.einsum("bn,dn->bd", p, nm)[:, :, None]  # (B, dim, n)
     cov = (centred * p[:, None, :]) @ centred.transpose(0, 2, 1)
     hess = np.eye(decomp.dim) / T - cov / T**2
     asym = float(np.max(np.abs(hess - hess.transpose(0, 2, 1))))
@@ -531,7 +531,7 @@ class SmallNResult:
 
 def _log_sum_exp(x: np.ndarray) -> float:
     """log of the sum of exp(x) over all entries, by the one tilted-measure normaliser."""
-    return float(tilted_weights([[1.0]], x.reshape(1, -1), 1.0, 0.0)[0][0])
+    return float(_tilted_masses([[1.0]], x.reshape(1, -1), 1.0, 0.0)[0][0])
 
 
 def _log_pair_sum(lw: np.ndarray, n: int) -> float:
@@ -624,7 +624,7 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
     fields = np.array([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))])
     rows = np.vstack([feats, np.einsum("ij,ij->j", feats, feats)])
-    log_z, _ = tilted_weights(fields, rows, measure.weights, measure.log_density)
+    log_z, _, _ = _tilted_masses(fields, rows, measure.weights, measure.log_density)
     u_n = -(log_z[1] - log_z[0])
     if n > 1:  # log h in closed form: the masses themselves underflow at far nodes
         share = (fields[1] @ rows + measure.log_density + np.log(measure.weights)

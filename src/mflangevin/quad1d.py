@@ -2,7 +2,9 @@
 
 Represents probability measures proportional to exp(-V) on the real line or
 the circle, together with their exponential tilts exp(h*x - V), and answers
-moment queries to a controlled tolerance.
+moment queries to a controlled tolerance, all through one kernel that computes
+each tilt on its own (its bits do not depend on the batch) and its moments
+from unnormalised masses with one division per row.
 
 Quadrature scheme: composite Gauss-Legendre panels on the real line with
 automatic domain widening (tilts move the mode, so static bounds are unsafe);
@@ -332,6 +334,19 @@ def _circle_modes(nodes: np.ndarray) -> np.ndarray:
     return np.vstack([f(k * nodes) for k in (1, 2, 3) for f in (np.cos, np.sin)])
 
 
+def _tilted_masses(fields, features, weights, log_density):
+    """``tilted_weights`` before its division: log Z, the unnormalised masses
+    q = exp(g - row max) * weights and their row sums z."""
+    g = np.einsum("bd,dn->bn", np.asarray(fields, dtype=float), np.asarray(features, dtype=float))
+    g += log_density
+    m = np.max(g, axis=-1)
+    g -= m[:, None]
+    np.exp(g, out=g)
+    g *= weights
+    z = np.sum(g, axis=-1)
+    return m + np.log(z), g, z
+
+
 def tilted_weights(fields: np.ndarray, features: np.ndarray, weights: np.ndarray,
                    log_density: np.ndarray):
     """Normalise the tilted measures exp(<field, feature(x)>) alpha(dx) on a grid.
@@ -339,18 +354,14 @@ def tilted_weights(fields: np.ndarray, features: np.ndarray, weights: np.ndarray
     ``fields`` holds one field per row (B, d); ``features`` holds the d feature
     functions evaluated at the quadrature nodes (d, n); ``weights`` and
     ``log_density`` describe alpha on those nodes.  Returns log Z (B,) and the
-    normalised quadrature masses p (B, n).  The exponent is shifted by its
-    row maximum before exponentiation, so no row overflows.
+    normalised quadrature masses p (B, n).  The exponent, an ``einsum`` in
+    numpy's own loops (not BLAS), is shifted by its row maximum, so no row
+    overflows and no row's bits depend on the other rows; for one feature
+    they are those of the ``fields @ features`` product.
     """
-    g = np.asarray(fields, dtype=float) @ np.asarray(features, dtype=float)
-    g += log_density
-    m = np.max(g, axis=-1, keepdims=True)
-    g -= m
-    np.exp(g, out=g)
-    g *= weights
-    z = np.sum(g, axis=-1, keepdims=True)
-    g /= z
-    return m[:, 0] + np.log(z[:, 0]), g
+    log_z, q, z = _tilted_masses(fields, features, weights, log_density)
+    q /= z[:, None]
+    return log_z, q
 
 
 def _moments(p: np.ndarray, nodes: np.ndarray):
@@ -363,15 +374,6 @@ def _moments(p: np.ndarray, nodes: np.ndarray):
     for k in range(2, 5):
         centred[k] = float(np.sum(p * d**k))
     return mean, centred
-
-
-def _mean_var(p: np.ndarray, nodes: np.ndarray):
-    """Means and variances (B,) of the rows of normalised masses p (B, n)."""
-    mean = p @ nodes
-    sq = nodes - mean[:, None]
-    sq *= sq
-    sq *= p
-    return mean, sq.sum(axis=1)
 
 
 def _moment_distance(a, b) -> float:
@@ -497,13 +499,17 @@ def tilt_table(measure: LineMeasure, hs) -> tuple[np.ndarray, np.ndarray, np.nda
 
     All tilts share one grid.  On the real line it is the measure's own,
     widened when the tilts push mass towards its ends; GridFailure is raised
-    if widening fails.
+    if widening fails.  Means and variances are row sums over the unnormalised
+    masses, divided once by their total, so no tilt's bits depend on the others.
     """
     hs = np.asarray(hs, dtype=float)
     work = _rebuild_for_tilts(measure, float(np.min(hs, initial=0.0)),
                               float(np.max(hs, initial=0.0)))
-    log_z, p = tilted_weights(hs[:, None], work.nodes[None, :], work.weights, work.log_density)
-    return (log_z, *_mean_var(p, work.nodes))
+    log_z, q, z = _tilted_masses(hs[:, None], work.nodes[None, :], work.weights, work.log_density)
+    mean = np.einsum("bn,n->b", q, work.nodes) / z
+    d = work.nodes - mean[:, None]
+    d *= d
+    return log_z, mean, np.einsum("bn,bn->b", q, d) / z
 
 
 def tilt_moments(measure: LineMeasure, h: float) -> TiltMoments:

@@ -137,6 +137,7 @@ def test_criterion_7_gaussian_dynamics_oracle():
         assert abs(s1.chi - s2.chi) < 2.0 * math.hypot(s1.stderr, s2.stderr)
 
 
+@pytest.mark.slow
 def test_criterion_8_susceptibility_divergence_trend(quartic1_tc):
     with criterion(8, "susceptibility grows approaching the critical point"):
         results = {}
@@ -152,6 +153,7 @@ def test_criterion_8_susceptibility_divergence_trend(quartic1_tc):
             assert gap > 3.0 * joint, (results[near], results[far])
 
 
+@pytest.mark.slow
 def test_criterion_9_subcritical_gap_collapse(quartic1_measure, quartic1_tc):
     with criterion(9, "two-plateau gap bound collapses with system size"):
         T = 0.6 * quartic1_tc

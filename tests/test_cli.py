@@ -475,6 +475,27 @@ def test_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path, capsys, mon
     assert err.count("\n") == 2 and "Traceback" not in err
 
 
+def test_rerun_removes_what_the_old_sidecar_listed_and_nothing_else(tmp_path):
+    out = tmp_path / "o"
+    binary = ["simulate", *SMALL_SIM, "--seed", "3", "--out", str(out)]
+    assert run(*binary) == 0
+    assert run(*binary, "--format", "csv") == 0
+    assert sorted(os.listdir(out)) == ["samples.csv", "sidecar.json"]
+    # only plain names that the old sidecar lists go: not an unlisted file, not a
+    # path out of --out, and nothing at all when the old sidecar does not parse
+    (tmp_path / "outside").write_text("x")
+    (out / "mine.txt").write_text("x")
+    side = read_json(out / "sidecar.json")
+    side["outputs"] += ["../outside", str(tmp_path / "outside"), "sidecar.json"]
+    (out / "sidecar.json").write_text(json.dumps(side))
+    assert run(*binary) == 0
+    assert sorted(os.listdir(out)) == ["mine.txt", "samples.bin", "sidecar.json"]
+    assert (tmp_path / "outside").exists()
+    (out / "sidecar.json").write_text("{not json")
+    assert run(*binary, "--format", "csv") == 0
+    assert sorted(os.listdir(out)) == ["mine.txt", "samples.bin", "samples.csv", "sidecar.json"]
+
+
 def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch):
     message = ("Unable to allocate 5.08 GiB for an array with shape (801, 851510) "
                "and data type float64")

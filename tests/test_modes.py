@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mflangevin import modes as md
 from mflangevin import renormalized as rn
@@ -256,6 +257,17 @@ def test_scan_argmin_first_of_ties(T, grid, xy, uniform_circle):
     h = np.linspace(-6.0, 6.0, grid)[grid // 2 - 1]
     assert np.array_equal(scan.argmin, [h, h])
     assert np.array_equal(scan.argmin, scan.grid_points[int(np.argmax(tied))])
+
+
+@settings(max_examples=15, deadline=None)
+@given(count=st.integers(1, 700), seed=st.integers(0, 2**32 - 1), T=st.floats(0.3, 2.0))
+def test_min_eigs_do_not_depend_on_the_chunk(count, seed, T, xy, uniform_circle):
+    points = np.random.default_rng(seed).uniform(-6.0, 6.0, (count, 2))
+    whole = np.linalg.eigvalsh(md._hessians(points, T, xy, uniform_circle))[:, 0]
+    for chunk in (1, 7, 64, 512):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(md, "_HESSIAN_CHUNK", chunk)
+            assert md._min_eigs(points, T, xy, uniform_circle).tobytes() == whole.tobytes()
 
 
 def test_secant_strong_convexity(xy, uniform_circle):

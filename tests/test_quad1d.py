@@ -333,19 +333,95 @@ def test_gauss_legendre_rule_cached_and_read_only():
                 a[0] = 1.0
 
 
-def _mean_var_three_temporaries(p, nodes):
-    """The reference: centred nodes, their squares and the weighted squares
-    each in a temporary of their own."""
-    mean = p @ nodes
-    return mean, np.sum(p * (nodes[None, :] - mean[:, None]) ** 2, axis=1)
+def _moment_step(monkeypatch, nodes, q):
+    """tilt_table's means and variances as a function of row indices, with its
+    kernel replaced by one that hands out the rows of the unnormalised masses
+    q (tilt i stands for row i).  The measure is a circle, which is never
+    widened, so the moment step sees ``nodes`` as they are."""
+    z = q.sum(axis=1)
+
+    def masses(fields, *_):
+        rows = fields[:, 0].astype(int)
+        return None, q[rows], z[rows]
+
+    monkeypatch.setattr(quad1d, "_tilted_masses", masses)
+    measure = quad1d.LineMeasure(PotentialSpec.periodic_fourier([]), nodes, np.ones_like(nodes),
+                                 np.zeros_like(nodes), (0.0, 2.0 * np.pi), 1e-10,
+                                 panels=len(nodes), panel_order=1)
+    return lambda rows: tilt_table(measure, np.asarray(rows, dtype=float))[1:]
 
 
 @pytest.mark.parametrize("rows", [1, 801])
-def test_mean_var_matches_three_temporary_formula(rows):
+def test_moment_step_row_invariant_and_within_forward_error(monkeypatch, rows):
     rng = np.random.default_rng(rows)
     n = 512
     nodes = np.sort(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100, 100, n))
-    p = rng.random((rows, n)) * 10.0 ** rng.uniform(-300, 0, (rows, n))
-    p /= p.sum(axis=1, keepdims=True)
-    for got, ref in zip(quad1d._mean_var(p, nodes), _mean_var_three_temporaries(p, nodes)):
-        assert got.tobytes() == ref.tobytes()
+    q = rng.random((rows, n)) * 10.0 ** rng.uniform(-300, 0, (rows, n))
+    moments = _moment_step(monkeypatch, nodes, q)
+    mean, var = moments(range(rows))
+    bound = n * np.finfo(float).eps  # the forward-error bound of an n-term sum, per |term|
+    for i in range(rows):
+        one_mean, one_var = moments([i])
+        assert one_mean.tobytes() == mean[i:i + 1].tobytes()
+        assert one_var.tobytes() == var[i:i + 1].tobytes()
+        z = math.fsum(q[i])
+        terms = q[i] * nodes / z
+        ref_mean = math.fsum(terms)
+        assert abs(mean[i] - ref_mean) <= bound * np.sum(np.abs(terms))
+        terms = q[i] * (nodes - ref_mean) ** 2 / z
+        assert abs(var[i] - math.fsum(terms)) <= bound * np.sum(terms)
+
+
+def _tilted_weights_by_matmul(fields, features, weights, log_density):
+    """The kernel with its exponent as the BLAS product ``fields @ features``."""
+    g = fields @ features
+    g += log_density
+    m = np.max(g, axis=-1, keepdims=True)
+    g -= m
+    np.exp(g, out=g)
+    g *= weights
+    z = np.sum(g, axis=-1, keepdims=True)
+    g /= z
+    return m[:, 0] + np.log(z[:, 0]), g
+
+
+@pytest.mark.parametrize("name", ["gaussian_measure", "quartic1_measure", "uniform_circle"])
+def test_one_feature_kernel_keeps_the_matmul_bits(request, name):
+    m = request.getfixturevalue(name)
+    hs = np.random.default_rng(3).uniform(-6.0, 6.0, 401)
+    for fields in (hs[:1, None], hs[:, None]):
+        got = quad1d.tilted_weights(fields, m.nodes[None, :], m.weights, m.log_density)
+        ref = _tilted_weights_by_matmul(fields, m.nodes[None, :], m.weights, m.log_density)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def _split(rows: int, data) -> list:
+    """Random cut points that split range(rows) into consecutive slices."""
+    cuts = data.draw(st.lists(st.integers(1, rows - 1), max_size=6, unique=True)
+                     if rows > 1 else st.just([]))
+    edges = [0, *sorted(cuts), rows]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _same_bits(parts, whole) -> bool:
+    return all(np.concatenate(p).tobytes() == w.tobytes() for p, w in zip(zip(*parts), whole))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=80),
+       features=st.sampled_from([1, 2]), data=st.data())
+def test_tilt_kernels_do_not_depend_on_the_split(quartic1_measure, uniform_circle, hs,
+                                                 features, data):
+    hs = np.array(hs)
+    for m in (quartic1_measure, uniform_circle):
+        x = m.nodes
+        rows = np.vstack([x, np.cos(x)][:features])
+        fields = np.column_stack([hs, hs[::-1] / 2.0][:features])
+        parts = _split(len(hs), data)
+        whole = quad1d.tilted_weights(fields, rows, m.weights, m.log_density)
+        assert _same_bits([quad1d.tilted_weights(fields[s], rows, m.weights, m.log_density)
+                           for s in parts], whole)
+        # |h| <= 5 never widens these grids, so every part is tabulated on the same one
+        assert all(quad1d._rebuild_for_tilts(m, min(0.0, *hs[s]), max(0.0, *hs[s])) is m
+                   for s in parts)
+        assert _same_bits([tilt_table(m, hs[s]) for s in parts], tilt_table(m, hs))
