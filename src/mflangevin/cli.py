@@ -284,6 +284,9 @@ def _cmd_xy_check(config, out):
 
 
 def _cmd_un_gap(config, out):
+    if not config["n_values"] or len(set(config["n_values"])) < len(config["n_values"]):
+        raise PreconditionError(f"config key 'n_values' must list one or more distinct N, "
+                                f"got {config['n_values']!r}")
     decomp = (_decomposition(config["decomposition"]) if config["decomposition"]
               else modes.xy_decomposition())
     measure = _measure_from_config(config)

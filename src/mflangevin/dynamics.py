@@ -291,7 +291,11 @@ def _batch_stderr(values: np.ndarray) -> float:
     r, n = values.shape
     size = n // _BATCHES
     trimmed = values[:, : size * _BATCHES].reshape(r, _BATCHES, size)
-    means = trimmed.mean(axis=2).ravel()
+    return _stderr_of_means(trimmed.mean(axis=2).ravel())
+
+
+def _stderr_of_means(means: np.ndarray) -> float:
+    """Standard error of the grand mean of equal batches, from their means."""
     return float(np.std(means, ddof=1) / np.sqrt(len(means)))
 
 
@@ -410,7 +414,7 @@ def covariance_ratio(f_fn, h_pair, n: int, rng: np.random.Generator, n_samples: 
 
     pooled = ratio_of(stats.mean(axis=0))
     per_batch = np.array([ratio_of(row) for row in stats])
-    return pooled, float(np.std(per_batch, ddof=1) / np.sqrt(_BATCHES))
+    return pooled, _stderr_of_means(per_batch)
 
 
 def _coord_sum(a: np.ndarray) -> np.ndarray:

@@ -65,6 +65,7 @@ _FIXED_POINT_MAX_ITER = 500
 _TENSOR_BUDGET = 2**25
 _PAIR_BLOCK = 2**18  # entries of the N = 4 factor tensor built at a time: 2 MiB of float64
 _UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
+_EXACT_TERMS = 2**28  # terms _log_pair_sum may add to sum underflowed inner sums again
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
 
 
@@ -536,60 +537,58 @@ def _log_sum_exp(x: np.ndarray) -> float:
 
 def _log_pair_sum(lw: np.ndarray, n: int) -> float:
     """log sum over node n-tuples (n = 2, 3, 4) of exp(lw summed over the tuple's
-    pairs), for a symmetric lw that is overwritten.  n = 3, 4 sum an outer pair
-    in the log domain over inner sums of products of factors <= 1, the rows
-    scaled by their maxima r; n = 4 builds its (m, m, m) factor tensor
-    _PAIR_BLOCK entries at a time, so it never holds the whole tensor.
-    Underflow moves an inner sum by at most `floor` and by at most its true
-    value, which (sum of square roots)^2 bounds; a sum those bounds could move
-    by more than _UNDERFLOW_REL is refused."""
+    pairs), for a symmetric lw.  n = 3, 4 sum an outer pair in the log domain
+    over inner sums of products of factors <= 1, the rows scaled by their maxima
+    r; n = 4 builds its (m, m, m) factor tensor _PAIR_BLOCK entries at a time,
+    so it never holds the whole tensor.  Underflow moves an inner sum by at most
+    `floor`; the inner sums below floor/_UNDERFLOW_REL whose loss could matter
+    are summed again in the log domain, _PAIR_BLOCK terms at a time, and more
+    than _EXACT_TERMS such terms are refused."""
     if n == 2:
         return _log_sum_exp(lw)
     m_pts, r = len(lw), lw.max(axis=1)
-    if n == 3:  # inner_ac = sum_b G_ab G_cb, G_ab = exp(lw_ab - r_a)
-        g = np.exp(lw - r[:, None])
-        outer = np.add(lw, r[:, None], out=lw)
+    if n == 3:  # inner_ac = sum_b G_ab G_cb, G_ab = exp(lw_ab - r_a), in outer's buffer
+        outer = np.exp(lw - r[:, None])
+        inner = outer @ outer.T
+        np.add(lw, r[:, None], out=outer)
         outer += r
-
-        def contract(root):
-            if root:
-                np.sqrt(g, out=g)
-            return g @ g.T
     else:  # inner_ab = sum_cd A_c K_cd A_d, A_(ab),c = exp(lw_ac + lw_bc + r_c/2 - s_ab)
         half, k = lw + 0.5 * r, np.exp(lw - 0.5 * (r[:, None] + r))
-        s, outer = np.empty_like(lw), np.empty_like(lw)  # filled by the first contract
+        inner, outer = np.empty_like(lw), np.empty_like(lw)
         step = max(1, _PAIR_BLOCK // m_pts**2)
-
-        def contract(root):
-            if root:
-                np.sqrt(k, out=k)
-            inner = np.empty_like(lw)
-            for i in range(0, m_pts, step):
-                a = lw[i:i + step, None, :] + half  # entries with first index in [i, i + step)
-                if not root:
-                    s[i:i + step] = a.max(axis=2)
-                    np.add(lw[i:i + step], 2.0 * s[i:i + step], out=outer[i:i + step])
-                a -= s[i:i + step, :, None]
-                a = np.exp(a, out=a).reshape(-1, m_pts)
-                if root:
-                    np.sqrt(a, out=a)
-                inner[i:i + step] = np.einsum("ij,ij->i", a @ k, a).reshape(-1, m_pts)
-            return inner
+        for i in range(0, m_pts, step):
+            a = lw[i:i + step, None, :] + half  # entries with first index in [i, i + step)
+            s = a.max(axis=2)
+            np.add(lw[i:i + step], 2.0 * s, out=outer[i:i + step])
+            a -= s[:, :, None]
+            a = np.exp(a, out=a).reshape(-1, m_pts)
+            inner[i:i + step] = np.einsum("ij,ij->i", a @ k, a).reshape(-1, m_pts)
     floor = 4.0 * m_pts ** (n - 2) * np.finfo(float).smallest_subnormal
-    log_tol = math.log(_UNDERFLOW_REL)
+    low = np.nonzero(inner < floor / _UNDERFLOW_REL)  # the larger ones are accurate
     with np.errstate(divide="ignore"):
-        inner = contract(False)
         np.log(inner, out=inner)
-        inner += outer
+    inner += outer
+    lost = outer[low] + math.log(floor)  # the most underflow can take from each low sum
+    del outer
+    log_e = _log_sum_exp(inner)
+    log_tol = log_e + math.log(_UNDERFLOW_REL)
+    if len(lost) and _log_sum_exp(lost) >= log_tol:
+        # redo each low sum whose loss could exceed its share of the tolerance
+        rows, cols = (ix[lost >= log_tol - math.log(len(lost))] for ix in low)
+        terms = len(rows) * m_pts ** (n - 2)
+        if terms > _EXACT_TERMS:
+            raise ConsistencyCheckFailed(
+                f"N={n} pair sum needs {terms} exact terms > _EXACT_TERMS = {_EXACT_TERMS}")
+        step = max(1, _PAIR_BLOCK // m_pts ** (n - 2))
+        for i in range(0, len(rows), step):
+            a, b = rows[i:i + step], cols[i:i + step]
+            t = lw[a] + lw[b]  # n = 3: the terms lw_ac + lw_bc of entry (a, b)
+            if n == 4:  # the terms t_c + t_d + lw_cd
+                t = (lw + t[:, :, None] + t[:, None, :]).reshape(len(a), -1)
+            top = t.max(axis=1)
+            t -= top[:, None]
+            inner[a, b] = lw[a, b] + top + np.log(np.sum(np.exp(t, out=t), axis=1))
         log_e = _log_sum_exp(inner)
-        del inner  # the bound pass below allocates inner sums of its own
-        slack = _log_sum_exp(outer) + math.log(floor) - log_e
-        if slack >= log_tol:
-            root = contract(True)
-            bound = np.minimum(math.log(floor), math.log(4.0) + 2.0 * np.log(root + floor))
-            slack = _log_sum_exp(outer + bound) - log_e
-    if not slack < log_tol:
-        raise ConsistencyCheckFailed(f"N={n} pair sum unresolved: underflow bound e^{slack:.1f}")
     return log_e
 
 
@@ -603,8 +602,8 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     base measure.  Same additive-constant normalisation as ``u_limit``.
     Expanding |S|^2 gives a pair model: site masses h tilted by zeta.f/T -
     |f|^2/(2TN) and pair weights exp(-f_a.f_b/(TN)), so log Z_N = N log Z_h +
-    log E(product of pair weights), with E over h^N.  Raises
-    ConsistencyCheckFailed when underflow leaves that expectation unresolved.
+    log E(product of pair weights), with E over h^N, to about 1e-14 relative.
+    Raises ConsistencyCheckFailed only past _log_pair_sum's work limit.
     """
     if not (1 <= n <= 4):
         raise ValueError("the pair contraction supports 1 <= N <= 4")

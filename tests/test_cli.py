@@ -160,6 +160,31 @@ def test_un_gap(tmp_path):
     assert payload["gaps"]["2"] < payload["gaps"]["1"]
 
 
+@pytest.mark.parametrize("n_values", ["", "2,2"])
+def test_un_gap_refuses_empty_or_repeated_n_values(tmp_path, capsys, n_values):
+    out = tmp_path / "un"
+    code = run("un-gap", "--n-values", n_values, "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "'n_values'")
+    assert not (out / "un_gap.csv").exists()
+
+
+def test_un_gap_work_limit_exit_3(tmp_path, capsys, monkeypatch):
+    # a strong quadratic part at T = 0.05: N = 3 sums underflowed inner sums again
+    dec = tmp_path / "dec.json"
+    dec.write_text(modes.make_decomposition(
+        alpha=8.0, neg=modes.xy_decomposition().neg_modes).to_json())
+    argv = ["un-gap", "--decomposition", str(dec), "--potential", "quartic", "--lam", "1",
+            "--T", "0.05", "--psi", "0.3,0.4,0", "--n-values", "3"]
+    assert run(*argv, "--out", str(tmp_path / "ok")) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(modes, "_EXACT_TERMS", 1000)
+    code = run(*argv, "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "_EXACT_TERMS = 1000" in err
+
+
 def test_graph_pipeline(tmp_path):
     gen_out = tmp_path / "g"
     assert run("graph-gen", "--kind", "regular", "--n", "100", "--d", "6",

@@ -389,18 +389,25 @@ def _tanh_decomposition(alpha):
 def _un_oracle_cases():
     xy = md.xy_decomposition()
     xy_pos = md.make_decomposition(neg=xy.neg_modes, pos=[Mode(0.3, "cos", 2)])
-    return [("xy", xy, "circle", [0.5, -0.2], 4),
-            ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),
-            ("tanh_gaussian", _tanh_decomposition(0.5), "gaussian", [0.3, 0.4], 3),
-            ("tanh_quartic1", _tanh_decomposition(0.5), "quartic1", [0.3, 0.4], 3),
-            # a strong quadratic part: the pair weights span hundreds of e-folds
-            ("alpha4_gaussian", _tanh_decomposition(4.0), "gaussian", [0.3, 0.4], 3),
-            ("alpha8_gaussian", _tanh_decomposition(8.0), "gaussian", [0.3, 0.4], 3)]
+    alpha4 = _tanh_decomposition(4.0)
+    cases = [("xy", xy, "circle", [0.5, -0.2], 4),
+             ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),
+             ("tanh_gaussian", _tanh_decomposition(0.5), "gaussian", [0.3, 0.4], 3),
+             ("tanh_quartic1", _tanh_decomposition(0.5), "quartic1", [0.3, 0.4], 3),
+             # a strong quadratic part: the pair weights span hundreds of e-folds
+             ("alpha4_gaussian", alpha4, "gaussian", [0.3, 0.4], 3),
+             ("alpha8_gaussian", _tanh_decomposition(8.0), "gaussian", [0.3, 0.4], 3)]
+    # at T = 0.05 many inner sums of the N = 3 pair contraction underflow where they
+    # matter, and are summed again
+    cold = [("alpha4_gaussian", alpha4, "gaussian", [0.3, 0.4], 3),
+            ("alpha16_gaussian", _tanh_decomposition(16.0), "gaussian", [0.3, 0.4], 3),
+            ("alpha16_quartic1", _tanh_decomposition(16.0), "quartic1", [0.3, 0.4], 3)]
+    return ([(*case, T) for T in (0.35, 1.0) for case in cases]
+            + [(*case, 0.05) for case in cold])
 
 
-@pytest.mark.parametrize("T", [0.35, 1.0])
-@pytest.mark.parametrize("name,decomp,measure,vec,n_max", _un_oracle_cases(),
-                         ids=[c[0] for c in _un_oracle_cases()])
+@pytest.mark.parametrize("name,decomp,measure,vec,n_max,T", _un_oracle_cases(),
+                         ids=[f"{c[0]}-{c[-1]}" for c in _un_oracle_cases()])
 def test_un_matches_tensor_oracle(name, decomp, measure, vec, n_max, T, uniform_circle,
                                   gaussian_measure, quartic1_measure):
     measure = {"circle": uniform_circle, "gaussian": gaussian_measure,
@@ -411,59 +418,68 @@ def test_un_matches_tensor_oracle(name, decomp, measure, vec, n_max, T, uniform_
         assert abs(got - _un_tensor(psi, T, decomp, measure, n)) <= 1e-13
 
 
+def _brute_log_pair_sum(lw, n):
+    """log of the sum over all node n-tuples, one term per tuple, and the largest
+    term's exponent."""
+    tuples = np.array(list(itertools.product(range(len(lw)), repeat=n)))
+    exps = sum(lw[tuples[:, i], tuples[:, j]] for i, j in itertools.combinations(range(n), 2))
+    top = float(np.max(exps))
+    return top + math.log(np.sum(np.exp(exps - top))), top
+
+
+def _indefinite_lw(c, scale, m_pts=16):
+    x = np.linspace(-3.0, 3.0, m_pts)
+    return -scale * (np.multiply.outer(x, x) + c * np.add.outer(x**2, x**2))
+
+
 # lw_ab = -scale (x_a x_b + c (x_a^2 + x_b^2)) is indefinite for c < 1/2: the largest pair
-# weights sit at x_a = -x_b, where no third node can join them; the last two cases need
-# the square-root bound on the underflowed inner sums to be accepted
+# weights sit at x_a = -x_b, where no third node can join them; in the last two cases
+# underflowed inner sums are summed again
 @pytest.mark.parametrize("c,scale,n", [(0.45, 10.0, 2), (0.45, 10.0, 3), (0.45, 10.0, 4),
                                        (0.3, 100.0, 3), (0.3, 200.0, 4)])
 def test_log_pair_sum_matches_brute_force(c, scale, n):
-    x = np.linspace(-3.0, 3.0, 16)
-    lw = -scale * (np.multiply.outer(x, x) + c * np.add.outer(x**2, x**2))
-    tuples = np.array(list(itertools.product(range(16), repeat=n)))
-    exps = sum(lw[tuples[:, i], tuples[:, j]] for i, j in itertools.combinations(range(n), 2))
-    top = float(np.max(exps))
-    assert abs(md._log_pair_sum(lw.copy(), n) - (top + math.log(np.sum(np.exp(exps - top))))) \
-        <= 1e-13 * max(1.0, abs(top))
+    lw = _indefinite_lw(c, scale)
+    want, top = _brute_log_pair_sum(lw, n)
+    assert abs(md._log_pair_sum(lw.copy(), n) - want) <= 1e-13 * max(1.0, abs(top))
 
 
-def test_un_refuses_unresolved_pair_sum(gaussian_measure):
-    # at T = 0.05 the N = 3 pair sum's terms fall below the smallest subnormal
-    # where they still matter (the sum would be off by ~1e-8): refused, not returned
+def test_pair_sums_exact_where_inner_sums_underflow(gaussian_measure, monkeypatch):
+    # at T = 0.05 the N = 3 inner sums fall below the smallest subnormal where they
+    # still matter (the sum would be off by ~1e-8), and so do the N = 3, 4 inner
+    # sums of this lw: each input is summed again (a zero work limit refuses it, by
+    # name), and the result matches its oracle
     d = _tanh_decomposition(4.0)
-    with pytest.raises(ConsistencyCheckFailed, match="pair sum"):
-        md.un_small_n(ModeField.from_vector([0.3, 0.4], d), 0.05, d, gaussian_measure, 3)
-    x = np.linspace(-3.0, 3.0, 16)
+    psi = ModeField.from_vector([0.3, 0.4], d)
+    lw = _indefinite_lw(0.2, 400.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(md, "_EXACT_TERMS", 0)
+        with pytest.raises(ConsistencyCheckFailed, match="_EXACT_TERMS"):
+            md.un_small_n(psi, 0.05, d, gaussian_measure, 3)
+        for n in (3, 4):
+            with pytest.raises(ConsistencyCheckFailed,
+                               match=rf"N={n} pair sum needs \d+ exact terms > _EXACT_TERMS = 0$"):
+                md._log_pair_sum(lw.copy(), n)
+    want = _un_tensor(psi, 0.05, d, gaussian_measure, 3)
+    assert abs(md.un_small_n(psi, 0.05, d, gaussian_measure, 3).u_n - want) \
+        <= 1e-13 * max(1.0, abs(want))
     for n in (3, 4):
-        with pytest.raises(ConsistencyCheckFailed, match=f"N={n} pair sum"):
-            md._log_pair_sum(-400.0 * (np.multiply.outer(x, x)
-                                       + 0.2 * np.add.outer(x**2, x**2)), n)
+        want, top = _brute_log_pair_sum(lw, n)
+        assert abs(md._log_pair_sum(lw.copy(), n) - want) <= 1e-13 * max(1.0, abs(top))
 
 
 def _log_pair_sum_whole(lw, n):
     """Reference N = 4 pair sum that holds the whole (m, m, m) factor tensor A
-    and its product with K."""
+    and its product with K, and sums no inner sum again."""
     assert n == 4
     m_pts, r = len(lw), lw.max(axis=1)
     a = lw[:, None, :] + (lw + 0.5 * r)[None, :, :]
     s = a.max(axis=2, keepdims=True)
     a -= s
-    factors = [np.exp(a, out=a).reshape(-1, m_pts), np.exp(lw - 0.5 * (r[:, None] + r))]
-    outer = lw + 2.0 * s[:, :, 0]
-
-    def contract(a, k):
-        return np.einsum("ij,ij->i", a @ k, a).reshape(m_pts, m_pts)
-    floor = 4.0 * m_pts**2 * np.finfo(float).smallest_subnormal
-    log_tol = math.log(md._UNDERFLOW_REL)
+    a = np.exp(a, out=a).reshape(-1, m_pts)
+    k = np.exp(lw - 0.5 * (r[:, None] + r))
     with np.errstate(divide="ignore"):
-        log_e = md._log_sum_exp(outer + np.log(contract(*factors)))
-        slack = md._log_sum_exp(outer) + math.log(floor) - log_e
-        if slack >= log_tol:
-            root = contract(*(np.sqrt(f, out=f) for f in factors))
-            bound = np.minimum(math.log(floor), math.log(4.0) + 2.0 * np.log(root + floor))
-            slack = md._log_sum_exp(outer + bound) - log_e
-    if not slack < log_tol:
-        raise ConsistencyCheckFailed(f"N=4 pair sum unresolved: underflow bound e^{slack:.1f}")
-    return log_e
+        inner = np.log(np.einsum("ij,ij->i", a @ k, a).reshape(m_pts, m_pts))
+    return md._log_sum_exp(lw + 2.0 * s[:, :, 0] + inner)
 
 
 def _three_row_blocks(monkeypatch, m_pts):
@@ -482,19 +498,20 @@ def test_blocked_pair_sum_matches_whole_tensor_xy(T, xy, uniform_circle, monkeyp
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-# the second case is accepted only by the square-root bound, the third is refused
+# the last two cases sum underflowed inner sums again (the third was refused before
+# that) and so differ from the whole tensor's sums: brute force checks them
 @pytest.mark.parametrize("c,scale", [(0.45, 10.0), (0.3, 200.0), (0.2, 400.0)])
 def test_blocked_pair_sum_matches_whole_tensor(c, scale, monkeypatch):
-    x = np.linspace(-3.0, 3.0, 16)
-    lw = -scale * (np.multiply.outer(x, x) + c * np.add.outer(x**2, x**2))
-    _three_row_blocks(monkeypatch, len(x))
-
-    def outcome(fn):
-        try:
-            return np.float64(fn(lw.copy(), 4)).tobytes()
-        except ConsistencyCheckFailed as exc:
-            return str(exc)
-    assert outcome(md._log_pair_sum) == outcome(_log_pair_sum_whole)
+    lw = _indefinite_lw(c, scale)
+    unblocked = md._log_pair_sum(lw.copy(), 4)
+    _three_row_blocks(monkeypatch, len(lw))
+    got = md._log_pair_sum(lw.copy(), 4)
+    assert np.float64(got).tobytes() == np.float64(unblocked).tobytes()
+    if c == 0.45:
+        assert np.float64(got).tobytes() == np.float64(_log_pair_sum_whole(lw, 4)).tobytes()
+    else:
+        want, top = _brute_log_pair_sum(lw, 4)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(top))
 
 
 def test_pair_sum_memory_bounded(xy, uniform_circle):
@@ -509,6 +526,24 @@ def test_pair_sum_memory_bounded(xy, uniform_circle):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_pair_sum_redo_memory_bounded(monkeypatch):
+    # N = 4 sums each underflowed inner sum again over m^2 terms, _PAIR_BLOCK terms
+    # at a time: on 64 nodes the redo needs more than 16 blocks (32 MiB), and the
+    # call never holds three at once
+    lw = _indefinite_lw(0.3, 200.0, 64)
+    with monkeypatch.context() as patch:
+        patch.setattr(md, "_EXACT_TERMS", 16 * md._PAIR_BLOCK)
+        with pytest.raises(ConsistencyCheckFailed):
+            md._log_pair_sum(lw.copy(), 4)
+    tracemalloc.start()
+    try:
+        md._log_pair_sum(lw, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * md._PAIR_BLOCK, peak
 
 
 def test_un_budget(xy, uniform_circle, monkeypatch):
