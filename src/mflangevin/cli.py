@@ -3,11 +3,11 @@
 Every library operation is exposed as a subcommand whose settings come from
 a config file (a section of a flat INI file, a JSON object, or a previous
 run's sidecar) overridden by flags, all typed by one parser per schema kind.
-It writes machine output into ``--out``, each file whole or not at all,
-then a JSON sidecar ``{version, command, config, seed, outputs}`` listing
-those files, and removes the files the sidecar it replaced listed that this
-run did not write.  Re-running a command from its sidecar (``--config
-sidecar.json``) reproduces the output files byte for byte.
+It writes machine output into ``--out``, all of a run's files or none of
+them: the files, then a JSON sidecar ``{version, command, config, seed,
+outputs}`` listing them, and it removes the files the sidecar it replaced
+listed that this run did not write.  Re-running a command from its sidecar
+(``--config sidecar.json``) reproduces the output files byte for byte.
 
 Exit codes: 0 success, 2 precondition violation (a missing required key
 too), 3 numerical failure (running out of memory too), 4 I/O error.
@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -46,6 +47,17 @@ def _integer(value) -> bool:
     return _number(value) and isinstance(value, int)
 
 
+def _finite(value) -> bool:  # not NaN or +-Infinity, which json reads, nor an int past any float
+    return _number(value) and abs(value) <= sys.float_info.max
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not _finite(value):
+        raise ValueError(text)
+    return value
+
+
 def _list_of(item, fits):
     return (lambda text: [item(v) for v in text.split(",")] if text.strip() else [],
             lambda value: isinstance(value, list) and all(map(fits, value)))
@@ -55,11 +67,11 @@ def _list_of(item, fits):
 # a tuple of words is a kind too, whose value must be one of the words
 _KINDS = {
     str: (str, lambda value: False, "a string"),
-    float: (float, _number, "a number"),
+    float: (_finite_float, _finite, "a finite number"),
     int: (int, _integer, "an integer"),
     bool: (lambda text: _BOOL_WORDS[text.strip().lower()],
            lambda value: isinstance(value, bool), "one of " + ", ".join(_BOOL_WORDS)),
-    "floats": (*_list_of(float, _number), "comma-separated numbers"),
+    "floats": (*_list_of(_finite_float, _finite), "comma-separated finite numbers"),
     "ints": (*_list_of(int, _integer), "comma-separated integers"),
 }
 
@@ -128,29 +140,29 @@ def _resolve_config(command: str, schema: dict, args: argparse.Namespace) -> dic
 
 
 class _Outputs:
-    """A run's files in ``--out``: each is written under a temporary name and
-    moved onto its own by ``os.replace`` once complete, so a failed write
-    leaves no partial file and keeps the one an earlier run left.
-    ``written`` lists the names in the order they landed."""
+    """A run's files, written into a staging directory inside ``--out`` and
+    moved onto their names by ``commit`` only once the whole run has
+    succeeded, so a failed run leaves ``--out`` as it was.  ``written`` lists
+    the names in the order they were written."""
 
     def __init__(self, out_dir: Path):
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.dir = out_dir
+        self.stage = Path(tempfile.mkdtemp(prefix=".mfl-staging-", dir=out_dir))
         self.written: list[str] = []
 
-    @contextlib.contextmanager
-    def path(self, name: str):
-        """A temporary path that becomes ``name`` when the block completes."""
-        tmp = self.dir / f".{name}.{os.getpid()}.tmp"
-        try:
-            yield tmp
-            os.replace(tmp, self.dir / name)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    def path(self, name: str) -> Path:
+        """Where to write the file that becomes ``name`` on commit."""
         self.written.append(name)
+        return self.stage / name
+
+    def commit(self) -> None:
+        """Move every staged file onto its name, in the order written."""
+        for name in self.written:
+            os.replace(self.stage / name, self.dir / name)
 
     def json(self, name: str, payload: dict) -> None:
-        with self.path(name) as tmp, open(tmp, "w") as fh:
+        with open(self.path(name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -159,7 +171,7 @@ class _Outputs:
         ``columns``, each value as ``%.17g``, in the ``csv`` module's dialect."""
         columns = [np.asarray(c).tolist() for c in columns]
         row = ",".join(["%.17g"] * len(columns)) + "\r\n"
-        with self.path(name) as tmp, open(tmp, "w", newline="") as fh:
+        with open(self.path(name), "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             fh.writelines(row % values for values in zip(*columns))
 
@@ -253,8 +265,7 @@ def _cmd_modes_decompose(config, out):
     if config["kernel_file"]:
         kernel = list(np.loadtxt(config["kernel_file"], delimiter=",").ravel())
     decomp = modes.fourier_decompose(kernel, config["max_frequency"], config["tol"])
-    with out.path("decomposition.json") as path:
-        path.write_text(decomp.to_json() + "\n")
+    out.path("decomposition.json").write_text(decomp.to_json() + "\n")
     print(f"{len(decomp.neg_modes)} mode(s) / {len(decomp.pos_modes)} flat-convex, "
           f"M = {decomp.m_bound:.6g}, L = {decomp.l_bound:.6g}")
 
@@ -304,13 +315,12 @@ def _cmd_un_gap(config, out):
 
 def _cmd_graph_gen(config, out):
     if config["kind"] == "regular":
-        if config["d"] % 1:  # also true for inf and nan
+        if config["d"] % 1:
             raise PreconditionError(f"a regular graph needs an integral d, not {config['d']!r}")
         g = graphs.gen_rrg(config["n"], int(config["d"]), config["seed"])
     else:
         g = graphs.gen_er(config["n"], config["d"], config["seed"])
-    with out.path("graph.edges") as path:
-        graphs.write_edge_list(g, path)
+    graphs.write_edge_list(g, out.path("graph.edges"))
     print(f"{config['kind']} graph: n = {g.n}, {len(g.edges)} edges")
 
 
@@ -338,9 +348,8 @@ def _cmd_simulate(config, out):
         header = ["step"] + [f"x_{i}" for i in range(sim.n_particles)]
         out.csv("samples.csv", header, [range(sim.n_kept), *samples[0].T])
     else:
-        with out.path("samples.bin") as path:
-            dynamics.write_samples(samples, path,
-                                   temperature=sim.temperature, dt=sim.dt, seed=sim.seed)
+        dynamics.write_samples(samples, out.path("samples.bin"),
+                               temperature=sim.temperature, dt=sim.dt, seed=sim.seed)
     print(f"simulated {sim.replicas} replica(s) x {sim.n_kept} kept states of n = {sim.n_particles}")
 
 
@@ -441,12 +450,15 @@ def run(argv: list[str]) -> int:
     try:
         config = _resolve_config(args.command, schema, args)
         out = _Outputs(Path(args.out))
-        out.dir.mkdir(parents=True, exist_ok=True)
-        handler(config, out)
-        stale = _listed_outputs(out.dir / "sidecar.json").difference(out.written)
-        out.json("sidecar.json", {
-            "version": __version__, "command": args.command, "config": config,
-            "seed": config.get("seed"), "outputs": list(out.written)})
+        try:
+            handler(config, out)
+            stale = _listed_outputs(out.dir / "sidecar.json").difference(out.written)
+            out.json("sidecar.json", {
+                "version": __version__, "command": args.command, "config": config,
+                "seed": config.get("seed"), "outputs": list(out.written)})
+            out.commit()  # the sidecar last: it was written last
+        finally:
+            shutil.rmtree(out.stage, ignore_errors=True)
         for name in stale:  # an earlier run's files that this one did not replace
             if (out.dir / name).is_file():
                 (out.dir / name).unlink()

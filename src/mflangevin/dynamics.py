@@ -76,7 +76,7 @@ class SimConfig:
     no_interaction: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0 or self.dt <= 0:
+        if not (self.temperature > 0 and self.dt > 0):
             raise ValueError("temperature and dt must be positive")
         if not (0 <= self.burn_in < self.n_steps):
             raise ValueError("need 0 <= burn_in < n_steps")
@@ -353,7 +353,7 @@ def plateau_gap_bound(samples: np.ndarray, m_plus: float, delta: float) -> Plate
     otherwise); an empty window with both plateaus visited reports bound 0
     with a flag rather than failing.
     """
-    if m_plus <= 0 or delta <= 0:
+    if not (m_plus > 0 and delta > 0):
         raise ValueError("need m_plus > 0, delta > 0")
     if 3.0 * delta > 2.0 * m_plus + 1e-12:
         raise ValueError("well separation requires 3*delta <= 2*m_plus")

@@ -46,7 +46,6 @@ __all__ = [
     "ScanResult",
     "XYReport",
     "fourier_decompose",
-    "make_decomposition",
     "xy_decomposition",
     "u_limit",
     "bracket_value",
@@ -67,6 +66,9 @@ _PAIR_BLOCK = 2**18  # entries of the N = 4 factor tensor built at a time: 2 MiB
 _UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
 _EXACT_TERMS = 2**28  # terms _log_pair_sum may add to sum underflowed inner sums again
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
+# the circle grid on which kernels, mode ranges and the bound M are checked
+_CIRCLE_GRID = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
+_CIRCLE_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,44 @@ class Mode:
 @dataclass(frozen=True)
 class ModeDecomposition:
     """Split of an interaction into a quadratic part, bounded modes, and a
-    flat-convex remainder, with the sup/Lipschitz bounds that certify it."""
+    flat-convex remainder, checked on construction; the sup bound M and the
+    Lipschitz bound L that certify it are derived from the modes on first use."""
 
-    alpha: float
-    neg_modes: tuple[Mode, ...]
-    pos_modes: tuple[Mode, ...]
-    m_bound: float
-    l_bound: float
+    alpha: float = 0.0
+    neg_modes: tuple[Mode, ...] = ()
+    pos_modes: tuple[Mode, ...] = ()
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("quadratic coefficient must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("quadratic coefficient must be finite and nonnegative, "
+                             f"got {self.alpha!r}")
         for m in self.neg_modes + self.pos_modes:
-            if m.weight < 0:
-                raise ValueError("mode weights must be nonnegative")
+            if not 0.0 <= m.weight < math.inf:
+                raise ValueError("mode weights must be finite and nonnegative, "
+                                 f"got {m.weight!r}")
+        probe = np.linspace(-30.0, 30.0, 2001)
+        for m in self.neg_modes:
+            sup = max(float(np.max(np.abs(m(_CIRCLE_GRID)))), float(np.max(np.abs(m(probe)))))
+            if sup > 1.0 + 1e-9:
+                raise ValueError(f"mode functions must map into [-1, 1]; got sup {sup:.3g}")
+
+    @functools.cached_property
+    def m_bound(self) -> float:
+        """Sup bound M: sqrt of the larger grid sup of |sum_k w_k n_k(x) n_k(y)| of the parts."""
+        def part_sup(modes):
+            if not modes:
+                return 0.0
+            acc = np.zeros((len(_CIRCLE_GRID), len(_CIRCLE_GRID)))
+            for m in modes:
+                acc += m.weight * np.multiply.outer(m(_CIRCLE_GRID), m(_CIRCLE_GRID))
+            return float(np.max(np.abs(acc)))
+
+        return math.sqrt(max(part_sup(self.neg_modes), part_sup(self.pos_modes)))
+
+    @functools.cached_property
+    def l_bound(self) -> float:
+        """Lipschitz bound L = sqrt(alpha + sum over the mode part of w_k sup|n_k'|^2)."""
+        return math.sqrt(self.alpha + sum(m.weight * m.sup_grad() ** 2 for m in self.neg_modes))
 
     @property
     def dim(self) -> int:
@@ -184,16 +210,16 @@ class ModeDecomposition:
                 out.append({"w": m.weight, "kind": m.kind, "k": m.k})
             return out
         return json.dumps({"alpha": self.alpha, "neg": enc(self.neg_modes),
-                           "pos": enc(self.pos_modes), "M": self.m_bound,
-                           "L": self.l_bound}, indent=2, sort_keys=True)
+                           "pos": enc(self.pos_modes)}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModeDecomposition":
         """Inverse of ``to_json``; a missing key or a wrongly shaped entry
-        raises ValueError naming it."""
+        raises ValueError naming it.  The bounds M and L that older files
+        carry are not read: they are derived from the modes."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
-            raise ValueError("a decomposition must be a JSON object {alpha, neg, pos, M, L}")
+            raise ValueError("a decomposition must be a JSON object {alpha, neg, pos}")
 
         def number(where: str, value, kind=float):
             allowed = int if kind is int else (int, float)
@@ -217,12 +243,11 @@ class ModeDecomposition:
                                   k=number(f"{where}.k", it["k"], int)))
             return tuple(modes)
 
-        missing = [key for key in ("alpha", "neg", "pos", "M", "L") if key not in raw]
+        missing = [key for key in ("alpha", "neg", "pos") if key not in raw]
         if missing:
             raise ValueError(f"decomposition lacks {', '.join(missing)}")
         return cls(alpha=number("alpha", raw["alpha"]), neg_modes=dec("neg"),
-                   pos_modes=dec("pos"), m_bound=number("M", raw["M"]),
-                   l_bound=number("L", raw["L"]))
+                   pos_modes=dec("pos"))
 
 
 @dataclass(frozen=True)
@@ -314,42 +339,13 @@ def fourier_decompose(kernel, max_frequency: int, tol: float = 1e-10) -> ModeDec
         side.append(Mode(weight=abs(c), kind="cos", k=k))
         side.append(Mode(weight=abs(c), kind="sin", k=k))
 
-    decomp = _finish_decomposition(0.0, tuple(neg), tuple(pos))
-    grid = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
-    target = np.asarray(kernel_fn(np.subtract.outer(grid, grid)), dtype=float)
-    residual = float(np.max(np.abs(target - decomp.reconstruction(grid, grid))))
+    decomp = ModeDecomposition(neg_modes=tuple(neg), pos_modes=tuple(pos))
+    target = np.asarray(kernel_fn(np.subtract.outer(_CIRCLE_GRID, _CIRCLE_GRID)), dtype=float)
+    residual = float(np.max(np.abs(target - decomp.reconstruction(_CIRCLE_GRID, _CIRCLE_GRID))))
     if residual >= tol:
         raise TruncationTooCoarse(
             f"truncation at frequency {max_frequency} leaves residual {residual:.3e} >= {tol:.3e}")
     return decomp
-
-
-def _finish_decomposition(alpha, neg, pos) -> ModeDecomposition:
-    grid = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
-    probe = np.linspace(-30.0, 30.0, 2001)
-    for m in neg:
-        sup = max(float(np.max(np.abs(m(grid)))), float(np.max(np.abs(m(probe)))))
-        if sup > 1.0 + 1e-9:
-            raise ValueError(f"mode functions must map into [-1, 1]; got sup {sup:.3g}")
-
-    def part_sup(modes):
-        if not modes:
-            return 0.0
-        acc = np.zeros((len(grid), len(grid)))
-        for m in modes:
-            acc += m.weight * np.multiply.outer(m(grid), m(grid))
-        return float(np.max(np.abs(acc)))
-
-    m_bound = math.sqrt(max(part_sup(neg), part_sup(pos)))
-    l_sq = alpha + sum(m.weight * m.sup_grad() ** 2 for m in neg)
-    return ModeDecomposition(alpha=float(alpha), neg_modes=neg, pos_modes=pos,
-                             m_bound=m_bound, l_bound=math.sqrt(l_sq))
-
-
-def make_decomposition(alpha: float = 0.0, neg: Sequence[Mode] = (),
-                       pos: Sequence[Mode] = ()) -> ModeDecomposition:
-    """Assemble a decomposition from explicit modes, computing its bounds."""
-    return _finish_decomposition(alpha, tuple(neg), tuple(pos))
 
 
 @functools.cache
@@ -426,7 +422,7 @@ def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
     -log integral exp((psi, n(x))_H / T) alpha(dx); with one it is the
     bracket value at the self-consistent density.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     if not decomp.pos_modes:
         fields = np.vstack([np.zeros(decomp.dim), psi.as_vector(decomp) / T])
@@ -644,7 +640,7 @@ def _xy_measure() -> LineMeasure:
 def xy_check(T: float, radius: float = 6.0, grid: int = 41) -> XYReport:
     """Convexity scan for the rotor model against its closed-form floor
     1/T - 1/(2 T^2); the scan must never fall below the floor."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")

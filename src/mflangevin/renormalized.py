@@ -96,7 +96,7 @@ def renorm_potential(measure: LineMeasure, T: float, phi_grid: np.ndarray) -> Re
     curvature floor is the grid minimum of v''.  Raises
     GridTooNarrow when v' shows no ascending sign change inside the grid.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     phi = np.asarray(phi_grid, dtype=float)
     if phi.ndim != 1 or len(phi) < 5 or not np.all(np.diff(phi) > 0):
@@ -155,7 +155,7 @@ def critical_temperature(measure: LineMeasure) -> float:
 
 def magnetization_map(measure: LineMeasure, T: float, phi: float) -> float:
     """Mean of the tilted measure exp(x*phi/T) d(alpha)."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     return float(tilt_moments(measure, phi / T).mean)
 
@@ -208,7 +208,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
 
         fhat(m) = v(phi_m) - (phi_m - m)^2 / (2T).
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     m_grid = np.asarray(m_grid, dtype=float)
     start = max(4.0 * T, 4.0)

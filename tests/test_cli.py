@@ -171,8 +171,8 @@ def test_un_gap_refuses_empty_or_repeated_n_values(tmp_path, capsys, n_values):
 def test_un_gap_work_limit_exit_3(tmp_path, capsys, monkeypatch):
     # a strong quadratic part at T = 0.05: N = 3 sums underflowed inner sums again
     dec = tmp_path / "dec.json"
-    dec.write_text(modes.make_decomposition(
-        alpha=8.0, neg=modes.xy_decomposition().neg_modes).to_json())
+    dec.write_text(modes.ModeDecomposition(
+        alpha=8.0, neg_modes=modes.xy_decomposition().neg_modes).to_json())
     argv = ["un-gap", "--decomposition", str(dec), "--potential", "quartic", "--lam", "1",
             "--T", "0.05", "--psi", "0.3,0.4,0", "--n-values", "3"]
     assert run(*argv, "--out", str(tmp_path / "ok")) == 0
@@ -319,6 +319,44 @@ def test_simulate_circle_with_decomposition(tmp_path):
     assert np.all(samples >= 0.0) and np.all(samples < 2.0 * np.pi)
 
 
+# decomposition.json as `modes-decompose --kernel-coefficients 1.0 --max-frequency 2`
+# wrote it while files still carried the bounds M and L
+OLD_DECOMPOSITION = """{
+  "L": 1.4142135623730951,
+  "M": 1.0,
+  "alpha": 0.0,
+  "neg": [
+    {
+      "k": 1,
+      "kind": "cos",
+      "w": 1.0
+    },
+    {
+      "k": 1,
+      "kind": "sin",
+      "w": 1.0
+    }
+  ],
+  "pos": []
+}
+"""
+
+
+def test_decomposition_file_with_bounds_still_loads(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(OLD_DECOMPOSITION)
+    assert run("modes-decompose", "--kernel-coefficients", "1.0", "--max-frequency", "2",
+               "--out", str(tmp_path / "dec")) == 0
+    new = tmp_path / "dec" / "decomposition.json"
+    assert new.read_text().splitlines() == [
+        line for line in OLD_DECOMPOSITION.splitlines() if not line.startswith(('  "L"', '  "M"'))]
+    for path, name in ((old, "a"), (new, "b")):
+        assert run("un-gap", "--decomposition", str(path), "--n-values", "1,2",
+                   "--out", str(tmp_path / name)) == 0
+    for name in ("un_gap.csv", "un_gap.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_simulate_csv_format(tmp_path):
     flags = ["--potential", "gaussian", "--n", "4", "--steps", "300", "--burn-in", "100",
              "--thinning", "10", "--replicas", "1", "--seed", "2"]
@@ -462,7 +500,7 @@ def test_csv_writer_keeps_both_formats(tmp_path):
     header = ["a", "b", "c"]
     out = cli._Outputs(tmp_path)
     out.csv("new.csv", header, columns)
-    new = (tmp_path / "new.csv").read_bytes()
+    new = (out.stage / "new.csv").read_bytes()
     # the renorm table formatted numpy scalars with an f-string, the CLI with %
     _csv_rows_one_by_one(tmp_path / "f.csv", header, zip(*columns), lambda x: f"{x:.17g}")
     _csv_rows_one_by_one(tmp_path / "pct.csv", header, zip(*columns), lambda x: "%.17g" % x)
@@ -472,9 +510,9 @@ def test_csv_writer_keeps_both_formats(tmp_path):
     out.csv("int.csv", ["n", "x"], [[1, 2, 4], [0.5, -0.0, np.nan]])
     _csv_rows_one_by_one(tmp_path / "int_ref.csv", ["n", "x"],
                          [(1, 0.5), (2, -0.0), (4, np.nan)], lambda x: "%.17g" % x)
-    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "int_ref.csv").read_bytes()
+    assert (out.stage / "int.csv").read_bytes() == (tmp_path / "int_ref.csv").read_bytes()
     out.csv("empty.csv", ["n", "x"], [[], []])
-    assert (tmp_path / "empty.csv").read_bytes() == b"n,x\r\n"
+    assert (out.stage / "empty.csv").read_bytes() == b"n,x\r\n"
     assert out.written == ["new.csv", "int.csv", "empty.csv"]
 
 
@@ -498,6 +536,23 @@ def test_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path, capsys, mon
     assert {path.name: path.read_bytes() for path in kept.iterdir()} == before
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "Traceback" not in err
+
+    # a two-file run whose second file fails lands neither: --out keeps the
+    # earlier run's files and sidecar, and no staging directory is left
+    vt = tmp_path / "vt"
+    scan = ["scan-vt", "--potential", "quartic", "--lam", "1", "--points", "51"]
+    assert run(*scan, "--T", "1.5", "--out", str(vt)) == 0
+    before = {path.name: path.read_bytes() for path in vt.iterdir()}
+    write_json = cli._Outputs.json
+
+    def failing_json(self, name, payload):
+        write_json(self, name, payload)
+        if name == "renorm.json":
+            raise error
+
+    monkeypatch.setattr(cli._Outputs, "json", failing_json)
+    assert run(*scan, "--T", "2", "--out", str(vt)) == code
+    assert {path.name: path.read_bytes() for path in vt.iterdir()} == before
 
 
 def test_rerun_removes_what_the_old_sidecar_listed_and_nothing_else(tmp_path):
@@ -688,6 +743,32 @@ def test_json_text_values_parse_like_flags(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+BIG = "1" + "0" * 400  # past any float: text reads as inf, a JSON integer stays an int
+
+
+@pytest.mark.parametrize("text, json_text", [("nan", "NaN"), ("inf", "Infinity"),
+                                             ("-inf", "-Infinity"), (BIG, BIG)],
+                         ids=["nan", "inf", "-inf", "big"])
+@pytest.mark.parametrize("source", ["flag", "ini", "json"])
+def test_non_finite_number_exit_2(tmp_path, capsys, source, text, json_text):
+    flags = ["--T=" + text]
+    if source != "flag":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[xy-check]\nT = {text}\n" if source == "ini"
+                       else f'{{"T": {json_text}}}')
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "xy"
+    code = run("xy-check", *flags, "--grid", "5", "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "config key 'T' must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--psi", "nan,0"], ["--psi", "0.5,inf"]])
+def test_non_finite_list_item_exit_2(tmp_path, capsys, flags):
+    code = run("un-gap", *flags, "--n-values", "1", "--out", str(tmp_path / "un"))
+    assert_refused(code, capsys.readouterr().err, "config key 'psi'")
+
+
 # -- refused sizes and files ---------------------------------------------------------
 
 BAD_DECOMPOSITIONS = {
@@ -706,6 +787,10 @@ BAD_DECOMPOSITIONS = {
                     ' "M": 1.0, "L": 1.0}',
     "unknown_mode_kind": '{"alpha": 0.0, "neg": [{"w": 1.0, "kind": "tan", "k": 1}],'
                          ' "pos": [], "M": 1.0, "L": 1.0}',
+    "nan_weight": '{"alpha": 0.0, "neg": [{"w": NaN, "kind": "cos", "k": 1},'
+                  ' {"w": 1.0, "kind": "sin", "k": 1}], "pos": [], "M": 1.0, "L": 1.0}',
+    "infinite_alpha": '{"alpha": Infinity, "neg": [{"w": 1.0, "kind": "cos", "k": 1}],'
+                      ' "pos": [], "M": 1.0, "L": 1.0}',
 }
 
 

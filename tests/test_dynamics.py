@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tracemalloc
@@ -153,11 +154,26 @@ def test_stability_warning():
                      seed=1, potential=PotentialSpec.quartic(1.0))
 
 
+def test_stability_warning_uses_the_bound_of_the_modes():
+    # weight-1000 rotor modes have L = sqrt(2000) = 44.7; a file that states
+    # L = 1 does not silence the warning
+    text = json.dumps({"alpha": 0.0, "pos": [], "M": 1.0, "L": 1.0,
+                       "neg": [{"w": 1000.0, "kind": kind, "k": 1} for kind in ("cos", "sin")]})
+    dec = md.ModeDecomposition.from_json(text)
+    assert dec.l_bound == md.fourier_decompose([1000.0], 1).l_bound
+    with pytest.warns(RuntimeWarning, match="dt\\*stiffness"):
+        dy.SimConfig(n_particles=4, temperature=2.0, dt=1e-3, n_steps=100, burn_in=0,
+                     seed=1, potential=PotentialSpec.periodic_fourier([]), modes=dec)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         gaussian_config(burn_in=100, n_steps=100)
     with pytest.raises(ValueError):
         gaussian_config(temperature=-1.0)
+    for bad in (dict(temperature=math.nan), dict(dt=math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            gaussian_config(**bad)
     with pytest.raises(ValueError):
         dy.SimConfig(n_particles=4, temperature=1.0, dt=1e-3, n_steps=10, burn_in=0,
                      seed=1, potential=PotentialSpec.periodic_fourier([]))
@@ -228,11 +244,11 @@ def _oracle_configs():
     flat = PotentialSpec.periodic_fourier([])
     tanh = md.Mode(weight=0.15, kind="custom", fn=np.tanh,
                    dfn=lambda x: 1.0 - np.tanh(x) ** 2)
-    mixed = md.make_decomposition(
+    mixed = md.ModeDecomposition(
         alpha=0.2,
-        neg=[md.Mode(0.4, "cos", 1), md.Mode(0.4, "sin", 1), md.Mode(0.3, "cos", 2), tanh],
-        pos=[md.Mode(0.25, "sin", 2), md.Mode(0.1, "cos", 0),
-             md.Mode(0.1, "custom", fn=np.sin)])  # finite-difference gradient
+        neg_modes=(md.Mode(0.4, "cos", 1), md.Mode(0.4, "sin", 1), md.Mode(0.3, "cos", 2), tanh),
+        pos_modes=(md.Mode(0.25, "sin", 2), md.Mode(0.1, "cos", 0),
+                   md.Mode(0.1, "custom", fn=np.sin)))  # finite-difference gradient
     base = dict(temperature=1.1, dt=1e-3, n_steps=1100, burn_in=37, seed=5, thinning=7)
 
     def cfg(**kw):
@@ -254,9 +270,9 @@ def _oracle_configs():
         # a flat circle whose only term is a k=0 mode (zero gradient, whose
         # sign must survive) or the quadratic part, an (R, 1) column
         "flat_k0": cfg(n_particles=10, replicas=2, potential=flat,
-                       modes=md.make_decomposition(neg=[md.Mode(0.3, "cos", 0)])),
+                       modes=md.ModeDecomposition(neg_modes=(md.Mode(0.3, "cos", 0),))),
         "flat_alpha_only": cfg(n_particles=10, replicas=2, potential=flat,
-                               modes=md.make_decomposition(alpha=0.3)),
+                               modes=md.ModeDecomposition(alpha=0.3)),
         "mixed_modes": cfg(n_particles=20, replicas=3, potential=quartic, modes=mixed),
         "no_interaction": cfg(n_particles=20, replicas=2, potential=quartic,
                               no_interaction=True),
@@ -372,6 +388,8 @@ def test_plateau_validation():
         dy.plateau_gap_bound(s, m_plus=1.0, delta=0.7)  # 3*delta > 2*m_plus
     with pytest.raises(ValueError):
         dy.plateau_gap_bound(s, m_plus=1.0, delta=0.0)
+    with pytest.raises(ValueError, match="need m_plus > 0"):
+        dy.plateau_gap_bound(s, m_plus=1.0, delta=float("nan"))
 
 
 def test_subcritical_magnetisation_concentrates(quartic1_measure, quartic1_tc):

@@ -81,14 +81,27 @@ def test_truncation_too_coarse():
 
 def test_json_round_trip(xy):
     back = md.ModeDecomposition.from_json(xy.to_json())
-    assert back.alpha == xy.alpha
-    assert [(m.weight, m.kind, m.k) for m in back.neg_modes] == \
-        [(m.weight, m.kind, m.k) for m in xy.neg_modes]
+    assert back == xy
     assert back.m_bound == xy.m_bound and back.l_bound == xy.l_bound
 
 
+@pytest.mark.parametrize("parts, message", [
+    ({"alpha": -1.0}, "quadratic coefficient"),
+    ({"alpha": math.nan}, "quadratic coefficient"),
+    ({"alpha": math.inf}, "quadratic coefficient"),
+    ({"neg_modes": (Mode(-1.0, "cos", 1),)}, "mode weights"),
+    ({"neg_modes": (Mode(math.nan, "cos", 1),)}, "mode weights"),
+    ({"pos_modes": (Mode(math.inf, "cos", 1),)}, "mode weights"),
+    ({"neg_modes": (Mode(1.0, "custom", fn=lambda x: 3.0 * np.tanh(x)),)}, "map into"),
+], ids=["negative_alpha", "nan_alpha", "infinite_alpha", "negative_weight", "nan_weight",
+        "infinite_pos_weight", "custom_3tanh"])
+def test_constructor_refuses_bad_parts(parts, message):
+    with pytest.raises(ValueError, match=message):
+        md.ModeDecomposition(**parts)
+
+
 def test_custom_mode_not_serialisable():
-    d = md.make_decomposition(neg=(Mode(1.0, "custom", fn=np.tanh),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "custom", fn=np.tanh),))
     with pytest.raises(ValueError):
         d.to_json()
 
@@ -112,8 +125,8 @@ def test_u_limit_rotation_invariance(xy, uniform_circle):
 
 
 def test_u_limit_pos_mode_uniform_fixed_point(uniform_circle):
-    d = md.make_decomposition(neg=(Mode(1.0, "cos", 1), Mode(1.0, "sin", 1)),
-                              pos=(Mode(0.5, "cos", 1),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1), Mode(1.0, "sin", 1)),
+                             pos_modes=(Mode(0.5, "cos", 1),))
     # zero field: the uniform density is self-consistent and the value vanishes
     assert abs(md.u_limit(ModeField(coords=np.zeros(2)), 1.0, d, uniform_circle)) < 1e-12
 
@@ -128,7 +141,7 @@ def test_v_renorm_matches_quadratic_route(quartic1_measure, quartic1_tc):
     # alpha-only decomposition on the real line reproduces the auxiliary-field
     # potential of the quadratic-interaction module
     T = 1.4 * quartic1_tc
-    d = md.make_decomposition(alpha=1.0)
+    d = md.ModeDecomposition(alpha=1.0)
     grid = rn.auto_phi_grid(quartic1_measure, T, 101)
     table = rn.renorm_potential(quartic1_measure, T, grid)
     mid = len(grid) // 2
@@ -158,7 +171,7 @@ def test_hessian_floor_at_low_temperature(xy, uniform_circle):
 
 
 def test_hessian_refuses_pos_modes(uniform_circle):
-    d = md.make_decomposition(neg=(Mode(1.0, "cos", 1),), pos=(Mode(0.2, "cos", 2),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1),), pos_modes=(Mode(0.2, "cos", 2),))
     with pytest.raises(Unsupported):
         md.hessian_v_renorm(ModeField(coords=np.zeros(1)), 1.0, d, uniform_circle)
 
@@ -194,13 +207,19 @@ def test_scan_negative_below_critical(xy, uniform_circle):
     assert scan.lambda_hat < 0
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+def test_xy_check_refuses_non_positive_temperature(T):
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        md.xy_check(T)
+
+
 def test_scan_refuses_empty(uniform_circle):
     with pytest.raises(ValueError):
-        md.strong_convexity_scan(1.0, md.make_decomposition(), uniform_circle, [], 5)
+        md.strong_convexity_scan(1.0, md.ModeDecomposition(), uniform_circle, [], 5)
 
 
 def test_scan_refuses_many_modes(uniform_circle):
-    d = md.make_decomposition(neg=tuple(Mode(0.1, "cos", k) for k in range(1, 5)))
+    d = md.ModeDecomposition(neg_modes=tuple(Mode(0.1, "cos", k) for k in range(1, 5)))
     with pytest.raises(TooManyModes):
         md.strong_convexity_scan(1.0, d, uniform_circle, [(-1, 1)] * 4, 3)
 
@@ -230,8 +249,8 @@ def test_scan_matches_loop_oracle(case, T, xy, uniform_circle, quartic1_measure)
     if case == "rotor":
         decomp, measure, region, grid = xy, uniform_circle, [(-6, 6)] * 2, 41
     else:
-        decomp = md.make_decomposition(alpha=0.5, neg=(Mode(0.8, "custom", fn=np.tanh),
-                                                       Mode(0.3, "cos", 1)))
+        decomp = md.ModeDecomposition(alpha=0.5, neg_modes=(Mode(0.8, "custom", fn=np.tanh),
+                                                            Mode(0.3, "cos", 1)))
         measure, region, grid = quartic1_measure, [(-2, 2), (-3, 3), (-1, 1)], 11
     scan = md.strong_convexity_scan(T, decomp, measure, region, grid)
     points, eigs = _scan_loop_oracle(T, decomp, measure, region, grid)
@@ -291,7 +310,7 @@ def test_secant_strong_convexity(xy, uniform_circle):
 def test_legendre_duality_one_mode(uniform_circle):
     # recover the coarse free energy from the effective potential by the dual
     # supremum, re-plug it into the infimum, and land back on the potential
-    d = md.make_decomposition(neg=(Mode(1.0, "cos", 1),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1),))
     T = 1.0
     psis = np.linspace(-3.0, 3.0, 601)
     v = np.array([md.v_renorm(ModeField(coords=np.array([p])), T, d, uniform_circle)
@@ -304,8 +323,8 @@ def test_legendre_duality_one_mode(uniform_circle):
 
 
 def test_fixed_point_is_minimiser(uniform_circle):
-    d = md.make_decomposition(neg=(Mode(1.0, "cos", 1), Mode(1.0, "sin", 1)),
-                              pos=(Mode(0.4, "cos", 2),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1), Mode(1.0, "sin", 1)),
+                             pos_modes=(Mode(0.4, "cos", 2),))
     psi = ModeField(coords=np.array([0.7, -0.2]))
     T = 0.9
     dens = md.self_consistent_density(psi, T, d, uniform_circle)
@@ -340,8 +359,8 @@ def test_un_gap_shrinks(xy, uniform_circle):
 
 
 def test_un_monte_carlo_oracle(gaussian_measure):
-    d = md.make_decomposition(neg=(Mode(1.0, "custom", fn=np.tanh,
-                                        dfn=lambda x: 1.0 / np.cosh(x) ** 2),))
+    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "custom", fn=np.tanh,
+                                             dfn=lambda x: 1.0 / np.cosh(x) ** 2),))
     r = md.un_small_n(ModeField(coords=np.array([0.0])), 1.0, d, gaussian_measure, 2)
     rng = np.random.default_rng(7)
     w = np.exp(-(np.tanh(rng.standard_normal((2_000_000, 2))).sum(axis=1)) ** 2 / 4.0)
@@ -382,13 +401,13 @@ def _un_tensor(psi, T, decomp, measure, n):
 
 
 def _tanh_decomposition(alpha):
-    return md.make_decomposition(alpha=alpha, neg=[Mode(1.0, "custom", fn=np.tanh,
-                                                        dfn=lambda x: 1.0 / np.cosh(x) ** 2)])
+    return md.ModeDecomposition(alpha=alpha, neg_modes=(Mode(1.0, "custom", fn=np.tanh,
+                                                             dfn=lambda x: 1.0 / np.cosh(x) ** 2),))
 
 
 def _un_oracle_cases():
     xy = md.xy_decomposition()
-    xy_pos = md.make_decomposition(neg=xy.neg_modes, pos=[Mode(0.3, "cos", 2)])
+    xy_pos = md.ModeDecomposition(neg_modes=xy.neg_modes, pos_modes=(Mode(0.3, "cos", 2),))
     alpha4 = _tanh_decomposition(4.0)
     cases = [("xy", xy, "circle", [0.5, -0.2], 4),
              ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),

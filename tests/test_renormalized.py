@@ -61,6 +61,17 @@ def test_grid_too_narrow(quartic1_measure):
 
 # -- critical temperature ----------------------------------------------------------
 
+@pytest.mark.parametrize("call", [
+    lambda m, T: rn.renorm_potential(m, T, np.linspace(-1.0, 1.0, 5)),
+    lambda m, T: rn.magnetization_map(m, T, 0.5),
+    lambda m, T: rn.coarse_free_energy(m, T, np.linspace(-0.5, 0.5, 5)),
+], ids=["renorm_potential", "magnetization_map", "coarse_free_energy"])
+@pytest.mark.parametrize("T", [0.0, float("nan")])
+def test_temperature_must_be_positive(quartic1_measure, call, T):
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        call(quartic1_measure, T)
+
+
 def test_tc_gaussian(gaussian_measure):
     assert abs(rn.critical_temperature(gaussian_measure) - 1.0) < 1e-10
 
