@@ -209,8 +209,7 @@ def _measure_from_config(config: dict) -> quad1d.LineMeasure:
     return quad1d.build_measure(_potential_from_config(config), config["tol"])
 
 
-_POTENTIALS = ("quartic", "gaussian", "periodic_fourier", "tabulated")
-_POTENTIAL_SCHEMA = {"potential": (_POTENTIALS, "quartic"), "lam": (float, 0.0),
+_POTENTIAL_SCHEMA = {"potential": (quad1d._KINDS, "quartic"), "lam": (float, 0.0),
                      "curvature": (float, 1.0), "coefficients": ("floats", []),
                      "file": (str, "")}
 _MEASURE_SCHEMA = {**_POTENTIAL_SCHEMA, "tol": (float, 1e-10)}  # build_measure's tolerance
@@ -333,14 +332,18 @@ def _cmd_graph_spectrum(config, out):
 
 
 def _cmd_simulate(config, out):
+    given = [key for key in ("graph", "decomposition", "no_interaction") if config[key]]
+    if len(given) > 1:  # a run has one interaction; refused before either file is read
+        raise PreconditionError(f"config keys {given[0]!r} and {given[1]!r} exclude each other")
     topology = graphs.read_edge_list(config["graph"]) if config["graph"] else "complete"
     decomp = _decomposition(config["decomposition"]) if config["decomposition"] else None
+    if config["no_interaction"]:
+        decomp = modes.ModeDecomposition()  # no terms: no interaction
     sim = dynamics.SimConfig(
         n_particles=config["n"], temperature=config["T"], dt=config["dt"],
         n_steps=config["steps"], burn_in=config["burn_in"], seed=config["seed"],
         thinning=config["thinning"], replicas=config["replicas"],
-        topology=topology, potential=_potential_from_config(config),
-        modes=decomp, no_interaction=config["no_interaction"])
+        topology=topology, potential=_potential_from_config(config), modes=decomp)
     if config["format"] == "csv" and (sim.replicas > 1 or sim.n_particles > 64):
         raise PreconditionError("CSV output is limited to single-replica runs with n <= 64")
     samples = dynamics.simulate(sim)
@@ -393,13 +396,13 @@ _COMMANDS = {
         "kernel_coefficients": ("floats", [1.0]), "kernel_file": (str, ""),
         "max_frequency": (int, 8), "tol": (float, 1e-8)}),
     "scan-convexity": (_cmd_scan_convexity, {
-        **_MEASURE_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
+        **_MEASURE_SCHEMA, "potential": (quad1d._KINDS, "periodic_fourier"),
         "decomposition": (str, None), "T": (float, 1.0), "radius": (float, 6.0),
         "grid": (int, 41)}),
     "xy-check": (_cmd_xy_check, {"T": (float, 1.0), "radius": (float, 6.0),
                                  "grid": (int, 41)}),
     "un-gap": (_cmd_un_gap, {
-        **_MEASURE_SCHEMA, "potential": (_POTENTIALS, "periodic_fourier"),
+        **_MEASURE_SCHEMA, "potential": (quad1d._KINDS, "periodic_fourier"),
         "decomposition": (str, ""), "T": (float, 1.0), "psi": ("floats", [0.5, 0.0]),
         "n_values": ("ints", [1, 2, 4])}),
     "graph-gen": (_cmd_graph_gen, {"kind": (("regular", "erdos_renyi"), "regular"),

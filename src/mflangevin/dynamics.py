@@ -60,7 +60,8 @@ _MAGIC = b"MFLSAMP1"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one Euler-Maruyama run."""
+    """Parameters of one Euler-Maruyama run.  Its interaction is ``modes`` on the
+    complete graph (``ModeDecomposition()`` for none) if given, else ``topology``."""
 
     n_particles: int
     temperature: float
@@ -73,7 +74,6 @@ class SimConfig:
     topology: GraphInstance | str = "complete"
     potential: PotentialSpec = field(default_factory=lambda: PotentialSpec.gaussian(1.0))
     modes: ModeDecomposition | None = None
-    no_interaction: bool = False
 
     def __post_init__(self):
         if not (self.temperature > 0 and self.dt > 0):
@@ -82,10 +82,15 @@ class SimConfig:
             raise ValueError("need 0 <= burn_in < n_steps")
         if self.thinning < 1 or self.replicas < 1 or self.n_particles < 1:
             raise ValueError("thinning, replicas, n_particles must be >= 1")
-        if isinstance(self.topology, GraphInstance) and self.topology.n != self.n_particles:
+        graph = isinstance(self.topology, GraphInstance)
+        if not (graph or self.topology == "complete"):
+            raise ValueError(f"topology must be 'complete' or a graph, got {self.topology!r}")
+        if graph and self.topology.n != self.n_particles:
             raise ValueError("graph size must match n_particles")
-        if self.potential.domain == CIRCLE and self.modes is None and not self.no_interaction:
-            raise ValueError("circle runs need a mode decomposition (or no_interaction)")
+        if graph and self.modes is not None:
+            raise ValueError("mode interactions run on the complete graph only, not on a graph")
+        if self.potential.domain == CIRCLE and self.modes is None:
+            raise ValueError("circle runs need a mode decomposition (the empty one for none)")
         stiffness = self._stiffness_estimate()
         if self.dt * stiffness >= 0.5:
             warnings.warn(
@@ -99,9 +104,7 @@ class SimConfig:
             xs = np.linspace(-4.0, 4.0, 257)
         dstep = xs[1] - xs[0]
         vpp = np.max(np.abs(np.diff(self.potential.derivative(xs)) / dstep))
-        inter = 0.0 if self.no_interaction else 1.0 / self.temperature
-        if self.modes is not None:
-            inter = self.modes.l_bound**2 / self.temperature
+        inter = (1.0 if self.modes is None else self.modes.l_bound**2) / self.temperature
         return float(vpp) + inter
 
     @property
@@ -173,18 +176,17 @@ def _drift_fn(config: SimConfig):
     state gets scalars; on a graph, ``(adj @ x.T).T`` is then a matvec.
     """
     grad_v = config.potential.derivative
-    if config.no_interaction:
-        return lambda x: -grad_v(x)
     reduce = np.add.reduce
     nt = config.n_particles * config.temperature
-    if config.modes is None:
+    dec = config.modes
+    if dec is None:
         if isinstance(config.topology, GraphInstance):
             adj = _adjacency_operator(config.topology)
             td = config.temperature * config.topology.d_eff
             return lambda x: (adj @ x.T).T / td - grad_v(x)
         return lambda x: reduce(x, axis=-1, keepdims=x.ndim > 1) / nt - grad_v(x)
-
-    dec = config.modes
+    if dec == ModeDecomposition():  # no terms, so no interaction
+        return lambda x: -grad_v(x)
     alpha = dec.alpha
 
     def modes_drift(x):
@@ -193,8 +195,6 @@ def _drift_fn(config: SimConfig):
                  for coef, value, grad in dec.signed_terms(x)]
         if alpha > 0:
             parts.append(alpha * reduce(x, axis=-1, keepdims=keep) / nt)
-        if not parts:
-            return -grad_v(x)
         out = parts[0] - grad_v(x)
         for term in parts[1:]:
             out += term

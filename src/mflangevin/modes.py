@@ -15,9 +15,9 @@ defines a weighted inner product
 
 Internally all fields are stored in orthonormal coordinates zeta_k =
 sqrt(w_k) psi_k, which turns weighted strong convexity into plain spectral
-positivity of the Hessian.  Additive-constant convention: the limiting
-effective potential is normalised so that it vanishes at psi = 0; all
-consumers compare differences.
+positivity of the Hessian.  The potentials are minus log-partition functions
+against the base measure (its N-fold product for u_N), so consumers compare
+differences; only u_limit without a flat-convex part vanishes at psi = 0.
 """
 from __future__ import annotations
 
@@ -66,9 +66,12 @@ _PAIR_BLOCK = 2**18  # entries of the N = 4 factor tensor built at a time: 2 MiB
 _UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
 _EXACT_TERMS = 2**28  # terms _log_pair_sum may add to sum underflowed inner sums again
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
-# the circle grid on which kernels, mode ranges and the bound M are checked
+# the circle grid on which kernels, mode ranges and the bound M are checked,
+# and the probe of the real line on which mode ranges and sup|n'| are
 _CIRCLE_GRID = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
 _CIRCLE_GRID.flags.writeable = False
+_PROBE = np.linspace(-30.0, 30.0, 4001)
+_PROBE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ class Mode:
     def sup_grad(self) -> float:
         if self.kind in ("cos", "sin"):
             return float(self.k)
-        probe = np.linspace(-30.0, 30.0, 4001)
-        return float(np.max(np.abs(self.grad(probe))))
+        return float(np.max(np.abs(self.grad(_PROBE))))
 
 
 @dataclass(frozen=True)
@@ -144,10 +146,9 @@ class ModeDecomposition:
             if not 0.0 <= m.weight < math.inf:
                 raise ValueError("mode weights must be finite and nonnegative, "
                                  f"got {m.weight!r}")
-        probe = np.linspace(-30.0, 30.0, 2001)
         for m in self.neg_modes:
-            sup = max(float(np.max(np.abs(m(_CIRCLE_GRID)))), float(np.max(np.abs(m(probe)))))
-            if sup > 1.0 + 1e-9:
+            sup = float(np.max(np.abs(np.concatenate((m(_CIRCLE_GRID), m(_PROBE))))))
+            if not sup <= 1.0 + 1e-9:  # np.max keeps a NaN, and NaN fails this
                 raise ValueError(f"mode functions must map into [-1, 1]; got sup {sup:.3g}")
 
     @functools.cached_property
@@ -415,12 +416,12 @@ def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
 
 def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
             measure: LineMeasure) -> float:
-    """Limiting non-quadratic part of the effective potential, normalised to 0
-    at psi = 0.
+    """Limiting non-quadratic part of the effective potential.
 
     Without a flat-convex part this is the closed form
-    -log integral exp((psi, n(x))_H / T) alpha(dx); with one it is the
-    bracket value at the self-consistent density.
+    -log integral exp((psi, n(x))_H / T) alpha(dx), which vanishes at
+    psi = 0; with one it is the bracket value at the self-consistent
+    density, which in general does not.
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
@@ -595,7 +596,7 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
         -(1/N) log E[ exp( (psi, S)_H/T - |S|_H^2/(2TN) - W+ sum/(2TN) ) ],
 
     with S = sum_i n(x_i) and the expectation over the N-fold product of the
-    base measure.  Same additive-constant normalisation as ``u_limit``.
+    base measure; it does not vanish at psi = 0 (see the module docstring).
     Expanding |S|^2 gives a pair model: site masses h tilted by zeta.f/T -
     |f|^2/(2TN) and pair weights exp(-f_a.f_b/(TN)), so log Z_N = N log Z_h +
     log E(product of pair weights), with E over h^N, to about 1e-14 relative.

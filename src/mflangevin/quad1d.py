@@ -39,6 +39,7 @@ __all__ = [
 
 REAL_LINE = "real_line"
 CIRCLE = "circle"
+_KINDS = ("quartic", "gaussian", "periodic_fourier", "tabulated")
 
 # exp(-40) < 1e-17: a potential gap of TAIL_GAP above the interior minimum
 # makes the truncated tail negligible at the 1e-16 level.
@@ -52,7 +53,6 @@ _GHS_GRID = 512  # test points of the class check on [0, half width] and on the 
 class PotentialSpec:
     """A confinement potential with metadata.
 
-    kind is one of "quartic", "gaussian", "periodic_fourier", "tabulated".
     quartic:  V(x) = x^4/4 - lam*x^2/2            (real line)
     gaussian: V(x) = curvature*x^2/2              (real line)
     periodic_fourier: V(t) = sum_k c[k-1]*cos(k*t) (circle, k = 1..len(c))
@@ -63,7 +63,6 @@ class PotentialSpec:
     """
 
     kind: str
-    domain: str
     lam: float | None = None
     curvature: float | None = None
     coefficients: tuple[float, ...] | None = None
@@ -71,12 +70,10 @@ class PotentialSpec:
     table_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.domain not in (REAL_LINE, CIRCLE):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if self.kind in ("quartic", "gaussian") and self.domain != REAL_LINE:
-            raise ValueError(f"{self.kind} potentials live on the real line")
-        if self.kind == "periodic_fourier" and self.domain != CIRCLE:
-            raise ValueError("periodic_fourier potentials live on the circle")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown potential kind {self.kind!r}")
+        if self.kind == "quartic" and self.lam is None:
+            raise ValueError("quartic potential needs lam")
         if self.kind == "gaussian" and not (self.curvature and self.curvature > 0):
             raise ValueError("gaussian potential needs curvature > 0")
         if self.kind == "tabulated":
@@ -93,22 +90,25 @@ class PotentialSpec:
 
     @classmethod
     def quartic(cls, lam: float) -> "PotentialSpec":
-        return cls(kind="quartic", domain=REAL_LINE, lam=float(lam))
+        return cls(kind="quartic", lam=float(lam))
 
     @classmethod
     def gaussian(cls, curvature: float) -> "PotentialSpec":
-        return cls(kind="gaussian", domain=REAL_LINE, curvature=float(curvature))
+        return cls(kind="gaussian", curvature=float(curvature))
 
     @classmethod
     def periodic_fourier(cls, coefficients: Sequence[float]) -> "PotentialSpec":
-        return cls(kind="periodic_fourier", domain=CIRCLE,
-                   coefficients=tuple(float(c) for c in coefficients))
+        return cls(kind="periodic_fourier", coefficients=tuple(float(c) for c in coefficients))
 
     @classmethod
     def tabulated(cls, nodes: Sequence[float], values: Sequence[float]) -> "PotentialSpec":
-        return cls(kind="tabulated", domain=REAL_LINE,
-                   table_nodes=tuple(float(x) for x in nodes),
+        return cls(kind="tabulated", table_nodes=tuple(float(x) for x in nodes),
                    table_values=tuple(float(v) for v in values))
+
+    @property
+    def domain(self) -> str:
+        """The circle for a periodic potential, the real line for every other kind."""
+        return CIRCLE if self.kind == "periodic_fourier" else REAL_LINE
 
     # -- evaluation -----------------------------------------------------------
 
@@ -220,10 +220,6 @@ class LineMeasure:
     panels: int
     panel_order: int
     extrapolated: bool = False
-
-    @property
-    def domain(self) -> str:
-        return self.potential.domain
 
 
 @dataclass(frozen=True)
@@ -471,7 +467,7 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
 def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMeasure:
     """Return a measure whose domain safely contains the tilted densities for
     every h in [h_lo, h_hi]; the input measure when it already does."""
-    if measure.domain == CIRCLE:
+    if measure.potential.domain == CIRCLE:
         return measure
     lo, hi = measure.domain_bounds
     g_interior = np.maximum(h_lo * measure.nodes, h_hi * measure.nodes) + measure.log_density

@@ -225,7 +225,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
             break
         if w == start:  # before widening: no mean lies outside what the largest tilts need
             (m_lo, m_hi), big = measure.domain_bounds, _MAX_FIELD_BRACKET / T
-            if measure.domain != CIRCLE:
+            if measure.potential.domain != CIRCLE:
                 try:
                     far = _find_bounds(measure.potential, -big, big)
                     m_lo, m_hi = min(m_lo, far[0]), max(m_hi, far[1])

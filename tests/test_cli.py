@@ -302,7 +302,7 @@ def test_settable_value_count():
                 keywords += _keywords_with_default(obj)
             keywords += sum(_keywords_with_default(getattr(obj, attr))
                             for attr, raw in vars(obj).items() if isinstance(raw, classmethod))
-    assert (cli_keys, keywords) == (94, 29)
+    assert (cli_keys, keywords) == (94, 28)
 
 
 def test_simulate_circle_with_decomposition(tmp_path):
@@ -317,6 +317,29 @@ def test_simulate_circle_with_decomposition(tmp_path):
     samples, meta = dynamics.read_samples(sim_out / "samples.bin")
     assert meta["n"] == 12
     assert np.all(samples >= 0.0) and np.all(samples < 2.0 * np.pi)
+
+
+@pytest.mark.parametrize("first, second", [("graph", "decomposition"),
+                                           ("graph", "no_interaction"),
+                                           ("decomposition", "no_interaction")])
+def test_simulate_refuses_two_interactions(tmp_path, capsys, first, second):
+    # weight-1000 rotor modes: a run that dropped them from the drift would
+    # still warn of dt*stiffness = 2 from them
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps({"alpha": 0.0, "pos": [], "neg": [
+        {"w": 1000.0, "kind": kind, "k": 1} for kind in ("cos", "sin")]}))
+    assert run("graph-gen", "--kind", "regular", "--n", "4", "--d", "3",
+               "--out", str(tmp_path / "g")) == 0
+    flags = {"graph": ["--graph", str(tmp_path / "g" / "graph.edges")],
+             "decomposition": ["--decomposition", str(dec)],
+             "no_interaction": ["--no-interaction"]}
+    out = tmp_path / "o"
+    assert run("simulate", *SMALL_SIM, "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    code = run("simulate", *SMALL_SIM, *flags[first], *flags[second], "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, repr(first), repr(second))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # decomposition.json as `modes-decompose --kernel-coefficients 1.0 --max-frequency 2`

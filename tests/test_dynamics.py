@@ -66,7 +66,7 @@ def test_drift_circle_modes():
 def test_ou_stationary_variance():
     cfg = dy.SimConfig(n_particles=50, temperature=2.0, dt=1e-3, n_steps=60_000,
                        burn_in=10_000, seed=3, thinning=10, replicas=2,
-                       no_interaction=True, potential=PotentialSpec.gaussian(1.0))
+                       modes=md.ModeDecomposition(), potential=PotentialSpec.gaussian(1.0))
     s = dy.simulate(cfg)
     var = float(s.var())
     n_eff = 50 * 2 * (cfg.n_steps - cfg.burn_in) * cfg.dt / 2.0  # crude tau ~ 1
@@ -174,9 +174,21 @@ def test_config_validation():
     for bad in (dict(temperature=math.nan), dict(dt=math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
             gaussian_config(**bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="circle runs need a mode decomposition"):
         dy.SimConfig(n_particles=4, temperature=1.0, dt=1e-3, n_steps=10, burn_in=0,
                      seed=1, potential=PotentialSpec.periodic_fourier([]))
+
+
+@pytest.mark.parametrize("interaction, message", [
+    # mode interactions run on the complete graph only
+    (dict(topology=gr.gen_rrg(4, 3, 5), modes=md.xy_decomposition()),
+     "complete graph only, not on a graph"),
+    # "complete" is the one topology named by a string
+    (dict(topology="ring"), "'ring'"),
+], ids=["graph_and_modes", "unknown_topology"])
+def test_config_takes_one_interaction(interaction, message):
+    with pytest.raises(ValueError, match=message):
+        gaussian_config(**interaction)
 
 
 def _mode_grad(m, x):
@@ -191,8 +203,6 @@ def _mode_grad(m, x):
 def _drift_loop(x, config, adj):
     """Reference drift, dispatched on every call; simulate and drift() must match it bit for bit."""
     out = -config.potential.derivative(x)
-    if config.no_interaction:
-        return out
     n = config.n_particles
     T = config.temperature
     if config.modes is not None:
@@ -275,7 +285,10 @@ def _oracle_configs():
                                modes=md.ModeDecomposition(alpha=0.3)),
         "mixed_modes": cfg(n_particles=20, replicas=3, potential=quartic, modes=mixed),
         "no_interaction": cfg(n_particles=20, replicas=2, potential=quartic,
-                              no_interaction=True),
+                              modes=md.ModeDecomposition()),
+        "no_interaction_circle": cfg(n_particles=20, replicas=2,
+                                     potential=PotentialSpec.periodic_fourier([0.4]),
+                                     modes=md.ModeDecomposition()),
         "rrg_dense": cfg(n_particles=120, replicas=3, potential=quartic,
                          topology=gr.gen_rrg(120, 6, 17)),
         "rrg_sparse": cfg(n_particles=600, replicas=2, n_steps=700, thinning=1,

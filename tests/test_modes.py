@@ -93,8 +93,12 @@ def test_json_round_trip(xy):
     ({"neg_modes": (Mode(math.nan, "cos", 1),)}, "mode weights"),
     ({"pos_modes": (Mode(math.inf, "cos", 1),)}, "mode weights"),
     ({"neg_modes": (Mode(1.0, "custom", fn=lambda x: 3.0 * np.tanh(x)),)}, "map into"),
+    ({"neg_modes": (Mode(1.0, "custom", fn=lambda x: np.full_like(x, np.nan)),)}, "map into"),
+    # NaN only off the circle, on the probe of the real line
+    ({"neg_modes": (Mode(1.0, "custom", fn=lambda x: np.where(x > 7.0, np.nan, np.sin(x))),)},
+     "map into"),
 ], ids=["negative_alpha", "nan_alpha", "infinite_alpha", "negative_weight", "nan_weight",
-        "infinite_pos_weight", "custom_3tanh"])
+        "infinite_pos_weight", "custom_3tanh", "custom_nan", "custom_nan_off_circle"])
 def test_constructor_refuses_bad_parts(parts, message):
     with pytest.raises(ValueError, match=message):
         md.ModeDecomposition(**parts)

@@ -201,11 +201,14 @@ def test_non_normalizable_tabulated():
         build_measure(PotentialSpec.tabulated(xs, -xs**4 / 4.0), 1e-8)
 
 
-def test_domain_mismatch_rejected():
-    with pytest.raises(ValueError):
-        PotentialSpec(kind="quartic", domain="circle", lam=1.0)
-    with pytest.raises(ValueError):
-        PotentialSpec(kind="periodic_fourier", domain="real_line", coefficients=(1.0,))
+def test_unknown_kind_rejected():
+    # the domain follows from the kind, so a kind must be one the spec knows
+    with pytest.raises(ValueError, match="unknown potential kind 'quartik'"):
+        PotentialSpec(kind="quartik", lam=1.0)
+    with pytest.raises(ValueError, match="quartic potential needs lam"):
+        PotentialSpec(kind="quartic")
+    assert PotentialSpec.periodic_fourier([1.0]).domain == quad1d.CIRCLE
+    assert PotentialSpec.quartic(1.0).domain == quad1d.REAL_LINE
 
 
 def test_tabulated_validation():
