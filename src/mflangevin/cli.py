@@ -313,6 +313,8 @@ def _cmd_un_gap(config, out):
 
 
 def _cmd_graph_gen(config, out):
+    if not config["d"] > 0:  # simulate refuses a graph without edges
+        raise PreconditionError(f"graph-gen needs d > 0, got {config['d']:g}")
     if config["kind"] == "regular":
         if config["d"] % 1:
             raise PreconditionError(f"a regular graph needs an integral d, not {config['d']!r}")

@@ -87,6 +87,8 @@ class SimConfig:
             raise ValueError(f"topology must be 'complete' or a graph, got {self.topology!r}")
         if graph and self.topology.n != self.n_particles:
             raise ValueError("graph size must match n_particles")
+        if graph and not self.topology.d_eff > 0:  # the drift divides by T*d_eff
+            raise ValueError(f"a graph interaction needs d_eff > 0, got {self.topology.d_eff:g}")
         if graph and self.modes is not None:
             raise ValueError("mode interactions run on the complete graph only, not on a graph")
         if self.potential.domain == CIRCLE and self.modes is None:

@@ -33,6 +33,7 @@ __all__ = [
 _RESTART_BUDGET = 10_000
 _MAX_ITER = 100_000
 _ER_BLOCK = 1 << 20  # candidate pairs per block of rows in gen_er
+_PACKED_MAX = np.iinfo(np.int64).max  # largest key*F + position gen_rrg sorts as one int64
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,16 @@ def gen_rrg(n: int, d: int, seed: int) -> GraphInstance:
             taken = pos < len(keys)
             taken[taken] = keys[pos[taken]] == round_keys[taken]
             fresh = np.flatnonzero((a != b) & ~taken)
-            # within a round the first pair with a given key wins
-            _, first = np.unique(round_keys[fresh], return_index=True)
+            # within a round the first pair with a given key wins: sorting key*F +
+            # position puts it at the head of its key's run
+            width = len(fresh)
+            if int(n) ** 2 * width <= _PACKED_MAX:
+                packed = np.sort(round_keys[fresh] * width + np.arange(width))
+                head = np.ones(width, dtype=bool)
+                head[1:] = packed[1:] // width != packed[:-1] // width
+                first = packed[head] % width
+            else:  # key*F would overflow int64
+                _, first = np.unique(round_keys[fresh], return_index=True)
             accept = np.zeros(len(a), dtype=bool)
             accept[fresh[first]] = True
             if not accept.any():
@@ -170,7 +179,8 @@ def write_edge_list(g: GraphInstance, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.d_eff:.17g} {g.kind} {g.seed}\n")
         for k in range(0, len(g.edges), 4096):  # blocks bound the text held in memory
-            fh.write("".join(f"{i} {j}\n" for i, j in g.edges[k:k + 4096].tolist()))
+            block = g.edges[k:k + 4096]
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_edge_list(path) -> GraphInstance:

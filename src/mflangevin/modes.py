@@ -62,7 +62,9 @@ _FIXED_POINT_MAX_ITER = 500
 # entries of the largest un_small_n array (256 MiB of float64) for N <= 3; for
 # N = 4, of the factor tensor it processes, _PAIR_BLOCK entries at a time
 _TENSOR_BUDGET = 2**25
-_PAIR_BLOCK = 2**18  # entries of the N = 4 factor tensor built at a time: 2 MiB of float64
+# float64 entries (2 MiB) of an N = 4 chunk, its factor rows and their products
+# with K together, and of a block of terms summed again
+_PAIR_BLOCK = 2**18
 _UNDERFLOW_REL = 1e-14  # relative error that underflow may put on a finite-N pair sum
 _EXACT_TERMS = 2**28  # terms _log_pair_sum may add to sum underflowed inner sums again
 _ARGMIN_TIE = 1e-12  # relative tolerance for grid points tying with the minimum
@@ -532,14 +534,49 @@ def _log_sum_exp(x: np.ndarray) -> float:
     return float(_tilted_masses([[1.0]], x.reshape(1, -1), 1.0, 0.0)[0][0])
 
 
+def _pair_inner_sums4(lw: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n = 4 inner sums of _log_pair_sum, inner_ab = sum_cd A_c K_cd A_d with
+    A_(ab),c = exp(lw_ac + lw_bc + r_c/2 - s_ab), and their scales lw_ab + 2 s_ab.
+    Each is computed once, for a <= b, from its (m,) row of the factor tensor, and
+    copied to (b, a).  The rows are built in chunks of unordered pairs, in one
+    buffer of _PAIR_BLOCK entries for the rows and their products with K,
+    allocated once per call and released on return, before _log_pair_sum's
+    redo allocates its own."""
+    m_pts = len(lw)
+    half, k = lw + 0.5 * r, np.exp(lw - 0.5 * (r[:, None] + r))
+    inner, outer = np.empty_like(lw), np.empty_like(lw)
+    rows, cols = np.triu_indices(m_pts)
+    step = max(1, _PAIR_BLOCK // (2 * m_pts))
+    fac_buf, prod_buf = np.empty((2, min(step, len(rows)), m_pts))
+    s_buf, e_buf = np.empty((2, len(fac_buf)))
+    for i in range(0, len(rows), step):
+        a, b = rows[i:i + step], cols[i:i + step]
+        fac, prod, s, e = fac_buf[:len(a)], prod_buf[:len(a)], s_buf[:len(a)], e_buf[:len(a)]
+        np.take(lw, a, axis=0, out=fac, mode="clip")  # "clip": no buffer behind out
+        np.take(half, b, axis=0, out=prod, mode="clip")
+        np.add(fac, prod, out=fac)
+        np.max(fac, axis=1, out=s)
+        np.subtract(fac, s[:, None], out=fac)
+        np.exp(fac, out=fac)
+        np.matmul(fac, k, out=prod)
+        np.einsum("ij,ij->i", prod, fac, out=e)
+        inner[a, b] = inner[b, a] = e
+        outer[a, b] = outer[b, a] = s
+    outer *= 2.0
+    outer += lw
+    return inner, outer
+
+
 def _log_pair_sum(lw: np.ndarray, n: int) -> float:
     """log sum over node n-tuples (n = 2, 3, 4) of exp(lw summed over the tuple's
-    pairs), for a symmetric lw.  n = 3, 4 sum an outer pair in the log domain
-    over inner sums of products of factors <= 1, the rows scaled by their maxima
-    r; n = 4 builds its (m, m, m) factor tensor _PAIR_BLOCK entries at a time,
-    so it never holds the whole tensor.  Underflow moves an inner sum by at most
-    `floor`; the inner sums below floor/_UNDERFLOW_REL whose loss could matter
-    are summed again in the log domain, _PAIR_BLOCK terms at a time, and more
+    pairs), for a symmetric lw.  n = 3, 4 sum an outer pair (a, b) in the log
+    domain over inner sums of products of factors <= 1, the rows scaled by their
+    maxima r.  The inner sums are symmetric in (a, b): n = 3 takes them from one
+    symmetric product, and n = 4 computes each once per unordered pair
+    (_pair_inner_sums4), so it never holds the (m, m, m) factor tensor.
+    Underflow moves an inner sum by at most `floor`; the inner sums below
+    floor/_UNDERFLOW_REL whose loss could matter are summed again in the log
+    domain, once per unordered pair and _PAIR_BLOCK terms at a time, and more
     than _EXACT_TERMS such terms are refused."""
     if n == 2:
         return _log_sum_exp(lw)
@@ -549,17 +586,8 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
         inner = outer @ outer.T
         np.add(lw, r[:, None], out=outer)
         outer += r
-    else:  # inner_ab = sum_cd A_c K_cd A_d, A_(ab),c = exp(lw_ac + lw_bc + r_c/2 - s_ab)
-        half, k = lw + 0.5 * r, np.exp(lw - 0.5 * (r[:, None] + r))
-        inner, outer = np.empty_like(lw), np.empty_like(lw)
-        step = max(1, _PAIR_BLOCK // m_pts**2)
-        for i in range(0, m_pts, step):
-            a = lw[i:i + step, None, :] + half  # entries with first index in [i, i + step)
-            s = a.max(axis=2)
-            np.add(lw[i:i + step], 2.0 * s, out=outer[i:i + step])
-            a -= s[:, :, None]
-            a = np.exp(a, out=a).reshape(-1, m_pts)
-            inner[i:i + step] = np.einsum("ij,ij->i", a @ k, a).reshape(-1, m_pts)
+    else:
+        inner, outer = _pair_inner_sums4(lw, r)
     floor = 4.0 * m_pts ** (n - 2) * np.finfo(float).smallest_subnormal
     low = np.nonzero(inner < floor / _UNDERFLOW_REL)  # the larger ones are accurate
     with np.errstate(divide="ignore"):
@@ -570,8 +598,11 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
     log_e = _log_sum_exp(inner)
     log_tol = log_e + math.log(_UNDERFLOW_REL)
     if len(lost) and _log_sum_exp(lost) >= log_tol:
-        # redo each low sum whose loss could exceed its share of the tolerance
+        # redo each low sum whose loss could exceed its share of the tolerance, once
+        # per unordered pair {a, b} picked in either order: its terms are symmetric
         rows, cols = (ix[lost >= log_tol - math.log(len(lost))] for ix in low)
+        rows, cols = np.divmod(np.unique(np.minimum(rows, cols) * m_pts
+                                         + np.maximum(rows, cols)), m_pts)
         terms = len(rows) * m_pts ** (n - 2)
         if terms > _EXACT_TERMS:
             raise ConsistencyCheckFailed(
@@ -584,7 +615,9 @@ def _log_pair_sum(lw: np.ndarray, n: int) -> float:
                 t = (lw + t[:, :, None] + t[:, None, :]).reshape(len(a), -1)
             top = t.max(axis=1)
             t -= top[:, None]
-            inner[a, b] = lw[a, b] + top + np.log(np.sum(np.exp(t, out=t), axis=1))
+            log_sum = np.log(np.sum(np.exp(t, out=t), axis=1))
+            inner[a, b] = lw[a, b] + top + log_sum
+            inner[b, a] = lw[b, a] + top + log_sum
         log_e = _log_sum_exp(inner)
     return log_e
 

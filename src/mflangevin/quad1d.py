@@ -72,10 +72,15 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "quartic" and self.lam is None:
-            raise ValueError("quartic potential needs lam")
-        if self.kind == "gaussian" and not (self.curvature and self.curvature > 0):
-            raise ValueError("gaussian potential needs curvature > 0")
+        if self.kind == "quartic" and not (self.lam is not None and math.isfinite(self.lam)):
+            raise ValueError(f"quartic potential needs lam, a finite number, got {self.lam}")
+        if self.kind == "gaussian" and not (self.curvature is not None
+                                            and 0 < self.curvature < math.inf):
+            raise ValueError(
+                f"gaussian potential needs a finite curvature > 0, got {self.curvature}")
+        if self.kind == "periodic_fourier" and not np.all(np.isfinite(self.coefficients or ())):
+            raise ValueError(
+                f"periodic_fourier coefficients must be finite, got {self.coefficients}")
         if self.kind == "tabulated":
             nodes = np.asarray(self.table_nodes, dtype=float)
             values = np.asarray(self.table_values, dtype=float)

@@ -862,6 +862,37 @@ def test_regular_graph_refuses_fractional_degree(tmp_path, capsys):
     assert not (out / "graph.edges").exists()
 
 
+@pytest.mark.parametrize("kind", ["erdos_renyi", "regular"])
+def test_graph_gen_refuses_zero_degree(tmp_path, capsys, kind):
+    out = tmp_path / "g"
+    code = run("graph-gen", "--kind", kind, "--n", "10", "--d", "0", "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "graph-gen needs d > 0, got 0")
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_refuses_graph_without_edges(tmp_path, capsys):
+    # the edge-list format allows d_eff = 0, but the drift divides by T*d_eff
+    graph = tmp_path / "empty.edges"
+    graph.write_text("4 0 erdos_renyi 1\n")
+    out = tmp_path / "sim"
+    code = run("simulate", "--graph", str(graph), *SMALL_SIM, "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "a graph interaction needs d_eff > 0, got 0")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--potential", "quartic", "--lam", "nan"], "lam"),
+    (["--potential", "quartic", "--lam", "inf"], "lam"),
+    (["--potential", "gaussian", "--curvature", "inf"], "curvature"),
+    (["--potential", "periodic_fourier", "--coefficients", "nan"], "coefficients"),
+], ids=["quartic_nan", "quartic_inf", "gaussian_inf", "fourier_nan"])
+def test_non_finite_potential_parameter_exit_2(tmp_path, capsys, flags, key):
+    out = tmp_path / "tc"
+    code = run("tc", *flags, "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, f"config key {key!r}")
+    assert not out.exists()
+
+
 def test_tabulated_potential_needs_two_columns(tmp_path, capsys):
     table = tmp_path / "pot.csv"
     np.savetxt(table, np.linspace(-6.0, 6.0, 101), delimiter=",")

@@ -185,7 +185,9 @@ def test_config_validation():
      "complete graph only, not on a graph"),
     # "complete" is the one topology named by a string
     (dict(topology="ring"), "'ring'"),
-], ids=["graph_and_modes", "unknown_topology"])
+    # the drift divides by T*d_eff
+    (dict(topology=gr.gen_er(4, 0.0, 1)), "needs d_eff > 0, got 0"),
+], ids=["graph_and_modes", "unknown_topology", "graph_without_edges"])
 def test_config_takes_one_interaction(interaction, message):
     with pytest.raises(ValueError, match=message):
         gaussian_config(**interaction)

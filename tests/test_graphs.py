@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,26 @@ def test_rrg_matches_loop_oracle(n, d, seed):
     ref = _gen_rrg_loop(n, d, seed)
     edges = gr.gen_rrg(n, d, seed).edges
     assert edges.dtype == ref.dtype and np.array_equal(edges, ref)
+
+
+# sha256 of the little-endian int64 edges of criterion 6's regular graphs, in
+# order: gen_rrg(2000, 50, seed) for seed 0..19, then gen_rrg(500, 20, 77)
+CRITERION_6_RRG_SHA256 = "4c2de5f1bcf1e72a1e3c0a53601de6a0a92f5a290823873f983d54d836cb71a9"
+
+
+def test_rrg_criterion_6_edges_pinned():
+    h = hashlib.sha256()
+    for n, d, seed in [(2000, 50, s) for s in range(20)] + [(500, 20, 77)]:
+        h.update(gr.gen_rrg(n, d, seed).edges.astype("<i8").tobytes())
+    assert h.hexdigest() == CRITERION_6_RRG_SHA256
+
+
+@pytest.mark.parametrize("n,d,seed", [(500, 20, 77), (60, 20, 7), (12, 9, 3), (4, 3, 5)])
+def test_rrg_first_pair_without_packing(n, d, seed, monkeypatch):
+    # past int64, the head of each key's run is found by np.unique instead
+    packed = gr.gen_rrg(n, d, seed).edges
+    monkeypatch.setattr(gr, "_PACKED_MAX", 0)
+    assert np.array_equal(gr.gen_rrg(n, d, seed).edges, packed)
 
 
 def test_rrg_seed_determinism():
@@ -198,3 +220,12 @@ def test_edge_list_round_trip(tmp_path):
         assert np.array_equal(back.edges, g.edges)
         first = path.read_text().splitlines()[0].split()
         assert first[2] == "erdos_renyi"
+
+
+def test_edge_list_text_matches_line_oracle(tmp_path):
+    # 5000 edges: two 4096-edge blocks, the second one shorter
+    g = gr.gen_rrg(500, 20, 77)
+    path = tmp_path / "g.edges"
+    gr.write_edge_list(g, path)
+    want = "500 20 regular 77\n" + "".join(f"{i} {j}\n" for i, j in g.edges.tolist())
+    assert path.read_bytes() == want.encode()

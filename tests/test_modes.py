@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -505,16 +506,66 @@ def _log_pair_sum_whole(lw, n):
     return md._log_sum_exp(lw + 2.0 * s[:, :, 0] + inner)
 
 
-def _three_row_blocks(monkeypatch, m_pts):
-    # blocks of 3 first indices: at least 3 of them, the last one shorter
-    assert m_pts >= 9 and m_pts % 3
-    monkeypatch.setattr(md, "_PAIR_BLOCK", 3 * m_pts**2)
+def _log_pair_sum_full_square(lw, n):
+    """Reference n = 3, 4 pair sum that computes the inner sum of every ordered
+    pair (a, b), both (a, b) and (b, a), and sums every low one again apart:
+    N = 4 builds the factor tensor in blocks of whole first indices."""
+    assert n in (3, 4)
+    m_pts, r = len(lw), lw.max(axis=1)
+    if n == 3:
+        outer = np.exp(lw - r[:, None])
+        inner = outer @ outer.T
+        np.add(lw, r[:, None], out=outer)
+        outer += r
+    else:
+        half, k = lw + 0.5 * r, np.exp(lw - 0.5 * (r[:, None] + r))
+        inner, outer = np.empty_like(lw), np.empty_like(lw)
+        step = max(1, md._PAIR_BLOCK // m_pts**2)
+        for i in range(0, m_pts, step):
+            a = lw[i:i + step, None, :] + half
+            s = a.max(axis=2)
+            np.add(lw[i:i + step], 2.0 * s, out=outer[i:i + step])
+            a -= s[:, :, None]
+            a = np.exp(a, out=a).reshape(-1, m_pts)
+            inner[i:i + step] = np.einsum("ij,ij->i", a @ k, a).reshape(-1, m_pts)
+    floor = 4.0 * m_pts ** (n - 2) * np.finfo(float).smallest_subnormal
+    low = np.nonzero(inner < floor / md._UNDERFLOW_REL)
+    with np.errstate(divide="ignore"):
+        np.log(inner, out=inner)
+    inner += outer
+    lost = outer[low] + math.log(floor)
+    log_e = md._log_sum_exp(inner)
+    log_tol = log_e + math.log(md._UNDERFLOW_REL)
+    if len(lost) and md._log_sum_exp(lost) >= log_tol:
+        rows, cols = (ix[lost >= log_tol - math.log(len(lost))] for ix in low)
+        terms = len(rows) * m_pts ** (n - 2)
+        if terms > md._EXACT_TERMS:
+            raise ConsistencyCheckFailed(
+                f"N={n} pair sum needs {terms} exact terms > _EXACT_TERMS = {md._EXACT_TERMS}")
+        step = max(1, md._PAIR_BLOCK // m_pts ** (n - 2))
+        for i in range(0, len(rows), step):
+            a, b = rows[i:i + step], cols[i:i + step]
+            t = lw[a] + lw[b]
+            if n == 4:
+                t = (lw + t[:, :, None] + t[:, None, :]).reshape(len(a), -1)
+            top = t.max(axis=1)
+            t -= top[:, None]
+            inner[a, b] = lw[a, b] + top + np.log(np.sum(np.exp(t, out=t), axis=1))
+        log_e = md._log_sum_exp(inner)
+    return log_e
+
+
+def _short_chunks(monkeypatch, m_pts):
+    # N = 4 chunks of 7 unordered pairs (7 factor rows and their 7 products with
+    # K): many of them, the last one shorter
+    assert (m_pts * (m_pts + 1) // 2) % 7
+    monkeypatch.setattr(md, "_PAIR_BLOCK", 2 * 7 * m_pts)
 
 
 @pytest.mark.parametrize("T", [0.35, 1.0])
 def test_blocked_pair_sum_matches_whole_tensor_xy(T, xy, uniform_circle, monkeypatch):
     psi = ModeField.from_vector([0.5, -0.2], xy)
-    _three_row_blocks(monkeypatch, len(uniform_circle.nodes))
+    _short_chunks(monkeypatch, len(uniform_circle.nodes))
     got = md.un_small_n(psi, T, xy, uniform_circle, 4).u_n
     monkeypatch.setattr(md, "_log_pair_sum", _log_pair_sum_whole)
     want = md.un_small_n(psi, T, xy, uniform_circle, 4).u_n
@@ -527,7 +578,7 @@ def test_blocked_pair_sum_matches_whole_tensor_xy(T, xy, uniform_circle, monkeyp
 def test_blocked_pair_sum_matches_whole_tensor(c, scale, monkeypatch):
     lw = _indefinite_lw(c, scale)
     unblocked = md._log_pair_sum(lw.copy(), 4)
-    _three_row_blocks(monkeypatch, len(lw))
+    _short_chunks(monkeypatch, len(lw))
     got = md._log_pair_sum(lw.copy(), 4)
     assert np.float64(got).tobytes() == np.float64(unblocked).tobytes()
     if c == 0.45:
@@ -535,6 +586,63 @@ def test_blocked_pair_sum_matches_whole_tensor(c, scale, monkeypatch):
     else:
         want, top = _brute_log_pair_sum(lw, 4)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(top))
+
+
+@pytest.mark.parametrize("c,scale,n", [(0.45, 10.0, 3), (0.45, 10.0, 4), (0.3, 100.0, 3),
+                                       (0.3, 200.0, 4), (0.2, 400.0, 3), (0.2, 400.0, 4)])
+def test_pair_sum_matches_full_square(c, scale, n):
+    # each inner sum is computed once per unordered pair and copied; the reference
+    # computes both orders, which differ from each other only by rounding
+    lw = _indefinite_lw(c, scale)
+    want = _log_pair_sum_full_square(lw.copy(), n)
+    assert abs(md._log_pair_sum(lw.copy(), n) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _full_square_cases():
+    xy = md.xy_decomposition()
+    return ([("xy", xy, "circle", [0.5, -0.2], 4, T) for T in (0.35, 1.0)]
+            + [("xy_far", xy, "circle", [1.3, 0.7], 4, 0.35)]
+            + [(f"tanh{a:g}", _tanh_decomposition(a), "gaussian", [0.3, 0.4], 3, T)
+               for a, T in ((0.5, 1.0), (4.0, 0.35), (4.0, 0.05), (16.0, 0.05))])
+
+
+@pytest.mark.parametrize("name,decomp,measure,vec,n,T", _full_square_cases(),
+                         ids=[f"{c[0]}-{c[-1]}" for c in _full_square_cases()])
+def test_un_matches_full_square(name, decomp, measure, vec, n, T, uniform_circle,
+                                gaussian_measure, monkeypatch):
+    measure = {"circle": uniform_circle, "gaussian": gaussian_measure}[measure]
+    psi = ModeField.from_vector(vec, decomp)
+    got = md.un_small_n(psi, T, decomp, measure, n).u_n
+    monkeypatch.setattr(md, "_log_pair_sum", _log_pair_sum_full_square)
+    want = md.un_small_n(psi, T, decomp, measure, n).u_n
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _refused_terms(fn, *args):
+    with pytest.raises(ConsistencyCheckFailed) as err:
+        fn(*args)
+    return int(re.search(r"needs (\d+) exact terms", str(err.value)).group(1))
+
+
+def test_pair_sum_redo_counts_each_pair_once(gaussian_measure, monkeypatch):
+    # the reference sums (a, b) and (b, a) again apart; each unordered pair is summed
+    # once, so the count is half the reference's plus half its diagonal terms
+    monkeypatch.setattr(md, "_EXACT_TERMS", 0)
+    d = _tanh_decomposition(4.0)
+    psi = ModeField.from_vector([0.3, 0.4], d)
+    m_pts = len(gaussian_measure.nodes)
+    got = _refused_terms(md.un_small_n, psi, 0.05, d, gaussian_measure, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(md, "_log_pair_sum", _log_pair_sum_full_square)
+        full = _refused_terms(md.un_small_n, psi, 0.05, d, gaussian_measure, 3)
+    cases = [(got, full, m_pts, 3)]
+    lw = _indefinite_lw(0.2, 400.0)
+    for n in (3, 4):
+        cases.append((_refused_terms(md._log_pair_sum, lw.copy(), n),
+                      _refused_terms(_log_pair_sum_full_square, lw.copy(), n), len(lw), n))
+    for got, full, m_pts, n in cases:
+        diagonal = 2 * got - full
+        assert full > 0 and 0 <= diagonal <= m_pts ** (n - 1) and diagonal % m_pts ** (n - 2) == 0
 
 
 def test_pair_sum_memory_bounded(xy, uniform_circle):
@@ -553,11 +661,11 @@ def test_pair_sum_memory_bounded(xy, uniform_circle):
 
 def test_pair_sum_redo_memory_bounded(monkeypatch):
     # N = 4 sums each underflowed inner sum again over m^2 terms, _PAIR_BLOCK terms
-    # at a time: on 64 nodes the redo needs more than 16 blocks (32 MiB), and the
+    # at a time: on 64 nodes the redo needs more than 8 blocks (16 MiB), and the
     # call never holds three at once
     lw = _indefinite_lw(0.3, 200.0, 64)
     with monkeypatch.context() as patch:
-        patch.setattr(md, "_EXACT_TERMS", 16 * md._PAIR_BLOCK)
+        patch.setattr(md, "_EXACT_TERMS", 8 * md._PAIR_BLOCK)
         with pytest.raises(ConsistencyCheckFailed):
             md._log_pair_sum(lw.copy(), 4)
     tracemalloc.start()

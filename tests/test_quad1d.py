@@ -211,6 +211,21 @@ def test_unknown_kind_rejected():
     assert PotentialSpec.quartic(1.0).domain == quad1d.REAL_LINE
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PotentialSpec.quartic(math.nan), "quartic potential needs lam, a finite number"),
+    (lambda: PotentialSpec.quartic(math.inf), "quartic potential needs lam, a finite number"),
+    (lambda: PotentialSpec.gaussian(math.inf), "gaussian potential needs a finite curvature"),
+    (lambda: PotentialSpec.gaussian(math.nan), "gaussian potential needs a finite curvature"),
+    (lambda: PotentialSpec.periodic_fourier([math.nan]), "coefficients must be finite"),
+    (lambda: PotentialSpec.periodic_fourier([1.0, -math.inf]), "coefficients must be finite"),
+], ids=["quartic_nan", "quartic_inf", "gaussian_inf", "gaussian_nan", "fourier_nan",
+        "fourier_inf"])
+def test_non_finite_parameter_rejected(make, message):
+    # refused where the spec is made, not after build_measure's refinement budget
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_tabulated_validation():
     with pytest.raises(ValueError):
         PotentialSpec.tabulated([0.0, 1.0, 0.5, 2.0], [1.0, 2.0, 3.0, 4.0])
