@@ -61,7 +61,7 @@ class TruncationTooCoarse(PreconditionError):
 
 
 class FixedPointDiverged(NumericalError):
-    """Damped self-consistency iteration failed to contract."""
+    """Newton on the flat-convex mode means did not converge within its step cap."""
 
 
 class Unsupported(PreconditionError):

@@ -57,8 +57,9 @@ __all__ = [
     "xy_check",
 ]
 
-_FIXED_POINT_TOL = 1e-10
-_FIXED_POINT_MAX_ITER = 500
+_NEWTON_MAX_ITER = 100  # Newton steps of _flat_convex_minimum
+_NEWTON_TOL = 1e-20  # Newton decrement at which Psi is minimal (it sits within half of it)
+_PSI_ROUNDING = 1e-15  # relative rounding of Psi that backtracking lets pass
 # entries of the largest un_small_n array (256 MiB of float64) for N <= 3; for
 # N = 4, of the factor tensor it processes, _PAIR_BLOCK entries at a time
 _TENSOR_BUDGET = 2**25
@@ -360,12 +361,6 @@ def xy_decomposition() -> ModeDecomposition:
 
 # -- effective potential ----------------------------------------------------------
 
-def _base_masses(measure: LineMeasure) -> np.ndarray:
-    """Normalised quadrature masses of the untilted base measure."""
-    return tilted_weights([[0.0]], measure.nodes[None, :],
-                          measure.weights, measure.log_density)[1][0]
-
-
 def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
                   decomp: ModeDecomposition, measure: LineMeasure) -> float:
     """Constrained free-energy bracket at a density given w.r.t. the base
@@ -373,7 +368,8 @@ def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
     self-consistent density minimises this over all densities."""
     zeta = psi.as_vector(decomp)
     nm = decomp.weighted_modes(measure.nodes)
-    p = _base_masses(measure) * dens
+    p = tilted_weights([[0.0]], measure.nodes[None, :],  # the base masses, times dens
+                       measure.weights, measure.log_density)[1][0] * dens
     entropy = float(np.sum(p[dens > 0] * np.log(dens[dens > 0])))
     interaction = 0.0
     for m in decomp.pos_modes:
@@ -383,64 +379,66 @@ def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
     return entropy + interaction - drive
 
 
+def _flat_convex_minimum(psi: ModeField, T: float, decomp: ModeDecomposition,
+                         measure: LineMeasure):
+    """Minimum over the flat-convex mode means u of the strictly convex
+    Psi(u) = log Z(zeta/T, -W u/T) + u.W u/(2T), Z the base mass tilted by
+    (zeta.n(x) - (W u).p(x))/T.  Newton steps (I + C_pp W/T) delta = E_u[p] - u
+    are halved until Psi falls by 1e-4 of the Newton decrement, up to Psi's
+    rounding, and end once the decrement is at most _NEWTON_TOL.  Returns
+    Psi(u*) - log Z_0 and the masses of the base measure (row 0) and at the
+    self-consistent u* = E_u*[p] (row 1); u is empty without a flat-convex part."""
+    if not T > 0:
+        raise ValueError("temperature must be positive")
+    zeta, nodes = psi.as_vector(decomp), measure.nodes
+    pos = np.array([m(nodes) for m in decomp.pos_modes]).reshape(-1, len(nodes))
+    w = np.array([m.weight for m in decomp.pos_modes])
+    features = np.vstack([decomp.weighted_modes(nodes), pos])
+
+    def at(u):  # Psi(u), log Z_0 and the masses, from one tilted-measure call
+        fields = np.vstack([np.zeros(len(features)), np.concatenate([zeta, -w * u]) / T])
+        log_z, q, z = _tilted_masses(fields, features, measure.weights, measure.log_density)
+        return log_z[1] + u @ (w * u) / (2.0 * T), log_z[0], q / z[:, None]
+
+    u = np.zeros(len(w))
+    value, log_z0, q = at(u)
+    for _ in range(_NEWTON_MAX_ITER):
+        mean = pos @ q[1]
+        centred = pos - mean[:, None]
+        step = np.linalg.solve(np.eye(len(u)) + (centred * q[1]) @ centred.T * w / T, mean - u)
+        decrement = (mean - u) @ (w * step) / T  # minus Psi's slope along the step
+        if decrement <= _NEWTON_TOL:  # NaN goes on, to the step cap
+            return value - log_z0, q
+        t, slack = 1.0, _PSI_ROUNDING * max(1.0, abs(value))
+        while (trial := at(u + t * step))[0] > value - 1e-4 * t * decrement + slack:
+            t /= 2.0
+        u += t * step
+        value, _, q = trial
+    raise FixedPointDiverged(f"Newton on the flat-convex means left decrement "
+                             f"{decrement:.3e} after {_NEWTON_MAX_ITER} steps")
+
+
 def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
                             measure: LineMeasure) -> np.ndarray:
-    """Density (w.r.t. the base measure) minimising the free-energy bracket,
-    by damped fixed-point iteration on the Gibbs update: L1 tolerance 1e-10,
-    at most 500 iterations, step 0.5 halved whenever the residual grows."""
-    zeta = psi.as_vector(decomp)
-    pos_vals = np.vstack([p(measure.nodes) for p in decomp.pos_modes])
-    pos_w = np.array([p.weight for p in decomp.pos_modes])
-    features = np.vstack([decomp.weighted_modes(measure.nodes), pos_vals])
-
-    def gibbs(p):
-        """Normalised masses of the Gibbs update at current masses p."""
-        fields = np.concatenate([zeta, -pos_w * (pos_vals @ p)]) / T
-        return tilted_weights(fields[None, :], features, measure.weights,
-                              measure.log_density)[1][0]
-
-    p = gibbs(np.zeros(len(measure.nodes)))  # the tilt alone, no flat-convex field
-    step_size = 0.5
-    residual = math.inf
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        new = gibbs(p)
-        new_residual = float(np.sum(np.abs(new - p)))
-        if new_residual < _FIXED_POINT_TOL:
-            return new / _base_masses(measure)
-        if new_residual > residual:
-            step_size = max(step_size / 2.0, 1.0 / 64.0)
-        residual = new_residual
-        p = (1.0 - step_size) * p + step_size * new
-        p /= float(np.sum(p))
-    raise FixedPointDiverged(
-        f"self-consistency iteration stalled at L1 residual {residual:.3e}")
+    """Density (w.r.t. the base measure) minimising the free-energy bracket:
+    the tilt at the minimiser of _flat_convex_minimum."""
+    q = _flat_convex_minimum(psi, T, decomp, measure)[1]
+    return q[1] / q[0]
 
 
 def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
             measure: LineMeasure) -> float:
-    """Limiting non-quadratic part of the effective potential.
-
-    Without a flat-convex part this is the closed form
-    -log integral exp((psi, n(x))_H / T) alpha(dx), which vanishes at
-    psi = 0; with one it is the bracket value at the self-consistent
-    density, which in general does not.
-    """
-    if not T > 0:
-        raise ValueError("temperature must be positive")
-    if not decomp.pos_modes:
-        fields = np.vstack([np.zeros(decomp.dim), psi.as_vector(decomp) / T])
-        log_z, _, _ = _tilted_masses(fields, decomp.weighted_modes(measure.nodes),
-                                     measure.weights, measure.log_density)
-        return -float(log_z[1] - log_z[0])
-
-    dens = self_consistent_density(psi, T, decomp, measure)
-    return bracket_value(dens, psi, T, decomp, measure)
+    """Limiting non-quadratic part of the effective potential, -(min Psi - log Z_0)
+    (_flat_convex_minimum): without a flat-convex part the closed form
+    -log integral exp((psi, n(x))_H / T) alpha(dx), which vanishes at psi = 0;
+    with one the bracket value at the self-consistent density, which need not."""
+    return -float(_flat_convex_minimum(psi, T, decomp, measure)[0])
 
 
 def v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
              measure: LineMeasure) -> float:
     """Full effective potential: |psi|_H^2/(2T) plus the non-quadratic part."""
-    return psi.norm_sq(decomp) / (2.0 * T) + u_limit(psi, T, decomp, measure)
+    return u_limit(psi, T, decomp, measure) + psi.norm_sq(decomp) / (2.0 * T)  # u_limit checks T
 
 
 # Hessians are built this many grid points at a time, which bounds the
@@ -473,6 +471,8 @@ def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
     under the tilted single-particle measure.  Only available without a
     flat-convex part (Unsupported otherwise).
     """
+    if not T > 0:
+        raise ValueError("temperature must be positive")
     if decomp.dim == 0:
         raise ValueError("decomposition has no modes")
     return _hessians(psi.as_vector(decomp)[None, :], T, decomp, measure)[0]
@@ -498,6 +498,8 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
     1e-12*max(1, |lambda_hat|) of it, so symmetric points that tie up to
     rounding always report the same one.
     """
+    if not T > 0:
+        raise ValueError("temperature must be positive")
     if decomp.dim == 0:
         raise ValueError("decomposition has no modes to scan")
     if len(decomp.neg_modes) > 3:
@@ -635,10 +637,10 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     log E(product of pair weights), with E over h^N, to about 1e-14 relative.
     Raises ConsistencyCheckFailed only past _log_pair_sum's work limit.
     """
+    if not T > 0:
+        raise ValueError("temperature must be positive")
     if not (1 <= n <= 4):
         raise ValueError("the pair contraction supports 1 <= N <= 4")
-    if len(decomp.pos_modes) > 1:
-        raise Unsupported("at most one flat-convex mode is supported")
     m_pts = len(measure.nodes)
     # entries of the largest array allocated below, or for N = 4 of the factor
     # tensor that _log_pair_sum processes in blocks
@@ -646,7 +648,7 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     if size > _TENSOR_BUDGET:
         raise GridExplosion(f"N={n} on {m_pts} nodes needs {size} entries > {_TENSOR_BUDGET}")
 
-    # the flat-convex mode is one more feature row, with no field on it
+    # each flat-convex mode is one more feature row, with no field on it
     feats = np.vstack([decomp.weighted_modes(measure.nodes)]
                       + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])

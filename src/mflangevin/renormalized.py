@@ -77,6 +77,8 @@ class FreeEnergyTable:
 def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarray:
     """Symmetric grid [-W, W], from W = 2 widened until |v'| increases outward
     at both ends, which guarantees every stationary point is interior."""
+    if not T > 0:
+        raise ValueError("temperature must be positive")
     w = 2.0
     for _ in range(40):
         probe = np.linspace(-w, w, 9)

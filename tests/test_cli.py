@@ -899,3 +899,46 @@ def test_tabulated_potential_needs_two_columns(tmp_path, capsys):
     code = run("tc", "--potential", "tabulated", "--file", str(table),
                "--out", str(tmp_path / "o"))
     assert_refused(code, capsys.readouterr().err, "two columns")
+
+
+def test_un_gap_on_a_flat_convex_pair(tmp_path):
+    # a negative cosine coefficient decomposes into a (cos, sin) flat-convex pair
+    dec_out = tmp_path / "dec"
+    assert run("modes-decompose", "--kernel-coefficients", "1.0,-0.3", "--max-frequency", "2",
+               "--out", str(dec_out)) == 0
+    dec_path = dec_out / "decomposition.json"
+    assert len(read_json(dec_path)["pos"]) == 2
+    out = tmp_path / "un"
+    assert run("un-gap", "--decomposition", str(dec_path), "--T", "0.8", "--psi", "0.5,-0.2",
+               "--n-values", "1,2,3", "--out", str(out)) == 0
+    with open(out / "un_gap.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    decomp = modes.fourier_decompose([1.0, -0.3], 2)
+    measure = quad1d.build_measure(quad1d.PotentialSpec.periodic_fourier([]), 1e-10)
+    psi = modes.ModeField(coords=np.array([0.5, -0.2]))
+    for row in rows:
+        res = modes.un_small_n(psi, 0.8, decomp, measure, int(row["n"]))
+        assert (float(row["u_n"]), float(row["u_limit"])) == (res.u_n, res.u_limiting)
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+@pytest.mark.parametrize("command", ["scan-vt", "free-energy", "pl", "scan-convexity",
+                                     "xy-check", "un-gap", "simulate"])
+def test_non_positive_temperature_exit_2(tmp_path, capsys, command, T):
+    rotor, flat = tmp_path / "rotor.json", tmp_path / "flat.json"
+    rotor.write_text(modes.xy_decomposition().to_json())
+    flat.write_text(modes.fourier_decompose([1.0, -0.3], 2).to_json())
+    argv = {"scan-vt": ["--potential", "quartic", "--lam", "1", "--points", "51"],
+            "free-energy": ["--potential", "quartic", "--lam", "1", "--points", "21"],
+            "pl": ["--potential", "quartic", "--lam", "1", "--points", "21"],
+            "scan-convexity": ["--decomposition", str(rotor), "--grid", "5"],
+            "xy-check": ["--grid", "5"],
+            "un-gap": ["--decomposition", str(flat), "--n-values", "1,2"],
+            "simulate": SMALL_SIM}[command]
+    out = tmp_path / "o"
+    assert run(command, *argv, "--T", "1.5", "--out", str(out)) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    code = run(command, *argv, "--T", T, "--out", str(out))
+    assert_refused(code, capsys.readouterr().err, "must be positive")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mflangevin import modes as md
 from mflangevin import renormalized as rn
-from mflangevin.errors import (ConsistencyCheckFailed, GridExplosion, TooManyModes,
-                              TruncationTooCoarse, Unsupported)
+from mflangevin.errors import (ConsistencyCheckFailed, FixedPointDiverged, GridExplosion,
+                              TooManyModes, TruncationTooCoarse, Unsupported)
 from mflangevin.modes import Mode, ModeField
 from mflangevin.quad1d import tilted_weights
 
@@ -327,13 +327,64 @@ def test_legendre_duality_one_mode(uniform_circle):
     assert np.max(np.abs(v_back[inner] - v[inner])) < 1e-4
 
 
-def test_fixed_point_is_minimiser(uniform_circle):
-    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1), Mode(1.0, "sin", 1)),
-                             pos_modes=(Mode(0.4, "cos", 2),))
-    psi = ModeField(coords=np.array([0.7, -0.2]))
-    T = 0.9
-    dens = md.self_consistent_density(psi, T, d, uniform_circle)
-    base = md.bracket_value(dens, psi, T, d, uniform_circle)
+def _damped_fixed_point(psi, T, decomp, measure):
+    """The bracket at the self-consistent density by damped Picard iteration on
+    the Gibbs update (step 0.5, halved down to 1/64 whenever the L1 residual
+    grows, at most 500 updates, L1 tolerance 1e-10), or None where it stalls
+    (reference)."""
+    zeta = psi.as_vector(decomp)
+    pos_vals = np.vstack([p(measure.nodes) for p in decomp.pos_modes])
+    pos_w = np.array([p.weight for p in decomp.pos_modes])
+    features = np.vstack([decomp.weighted_modes(measure.nodes), pos_vals])
+
+    def gibbs(p):
+        fields = np.concatenate([zeta, -pos_w * (pos_vals @ p)]) / T
+        return tilted_weights(fields[None, :], features, measure.weights,
+                              measure.log_density)[1][0]
+
+    base = tilted_weights([[0.0]], measure.nodes[None, :], measure.weights,
+                          measure.log_density)[1][0]
+    p, step_size, residual = gibbs(np.zeros(len(measure.nodes))), 0.5, math.inf
+    for _ in range(500):
+        new = gibbs(p)
+        new_residual = float(np.sum(np.abs(new - p)))
+        if new_residual < 1e-10:
+            return md.bracket_value(new / base, psi, T, decomp, measure)
+        if new_residual > residual:
+            step_size = max(step_size / 2.0, 1.0 / 64.0)
+        residual = new_residual
+        p = (1.0 - step_size) * p + step_size * new
+        p /= float(np.sum(p))
+    return None
+
+
+# the rotor pair plus flat-convex modes w (cos 2x, sin 2x) at zeta = (1.5, 0.3):
+# the damped loop stalls where the flat-convex part is strong or T is low
+_DAMPED_STALLS = {(10, 0.1), (30, 0.1), (30, 0.35), (30, 1.0), (100, 0.1), (100, 0.35),
+                  (100, 1.0)}
+
+
+def _fixed_point_cases():
+    xy = md.xy_decomposition()
+    cases = [pytest.param(md.ModeDecomposition(
+                neg_modes=xy.neg_modes, pos_modes=(Mode(w, "cos", 2), Mode(w, "sin", 2))),
+              [1.5, 0.3], T, (w, T) not in _DAMPED_STALLS, id=f"w={w}-T={T}")
+             for w in (0.3, 3, 10, 30, 100) for T in (0.1, 0.35, 1.0)]
+    one = md.ModeDecomposition(neg_modes=xy.neg_modes, pos_modes=(Mode(0.4, "cos", 2),))
+    return cases + [pytest.param(one, [0.7, -0.2], 0.9, True, id="one_mode")]
+
+
+@pytest.mark.parametrize("decomp,vec,T,damped_converges", _fixed_point_cases())
+def test_fixed_point_is_minimiser(decomp, vec, T, damped_converges, uniform_circle):
+    psi = ModeField(coords=np.array(vec))
+    u = md.u_limit(psi, T, decomp, uniform_circle)
+    dens = md.self_consistent_density(psi, T, decomp, uniform_circle)
+    base = md.bracket_value(dens, psi, T, decomp, uniform_circle)
+    assert abs(u - base) <= 1e-12
+    reference = _damped_fixed_point(psi, T, decomp, uniform_circle)
+    assert (reference is not None) == damped_converges
+    if damped_converges:
+        assert abs(u - reference) <= 1e-14 * max(1.0, abs(u))
     a = tilted_weights([[0.0]], uniform_circle.nodes[None, :], uniform_circle.weights,
                        uniform_circle.log_density)[1][0]
     rng = np.random.default_rng(8)
@@ -344,7 +395,53 @@ def test_fixed_point_is_minimiser(uniform_circle):
             pert = dens * (1.0 + eps * eta)
             pert = np.clip(pert, 0.0, None)
             pert /= float(np.sum(a * pert))
-            assert md.bracket_value(pert, psi, T, d, uniform_circle) >= base - 1e-10
+            assert md.bracket_value(pert, psi, T, decomp, uniform_circle) >= base - 1e-10
+
+
+def test_fixed_point_step_cap(uniform_circle, monkeypatch):
+    d = md.ModeDecomposition(neg_modes=md.xy_decomposition().neg_modes,
+                             pos_modes=(Mode(100.0, "cos", 2), Mode(100.0, "sin", 2)))
+    psi = ModeField(coords=np.array([1.5, 0.3]))
+    assert math.isfinite(md.u_limit(psi, 0.1, d, uniform_circle))
+    monkeypatch.setattr(md, "_NEWTON_MAX_ITER", 4)
+    with pytest.raises(FixedPointDiverged, match="after 4 steps"):
+        md.u_limit(psi, 0.1, d, uniform_circle)
+
+
+def test_backtracking_allows_for_the_rounding_of_psi(uniform_circle, monkeypatch):
+    # the third Newton step has decrement 7e-19: Psi falls by less than its own
+    # rounding (ulp 4e-16), so a strict Armijo test halves that step to nothing
+    d = md.ModeDecomposition(neg_modes=md.xy_decomposition().neg_modes,
+                             pos_modes=(Mode(0.1, "cos", 2), Mode(0.1, "sin", 2)))
+    psi = ModeField(coords=np.array([1.5, 0.3]))
+    u = md.u_limit(psi, 0.5, d, uniform_circle)
+    assert abs(u - _damped_fixed_point(psi, 0.5, d, uniform_circle)) <= 1e-14 * max(1.0, abs(u))
+    monkeypatch.setattr(md, "_PSI_ROUNDING", 0.0)
+    with pytest.raises(FixedPointDiverged):
+        md.u_limit(psi, 0.5, d, uniform_circle)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda psi, T, d, m: md.u_limit(psi, T, d, m),
+    lambda psi, T, d, m: md.self_consistent_density(psi, T, d, m),
+    lambda psi, T, d, m: md.v_renorm(psi, T, d, m),
+    lambda psi, T, d, m: md.hessian_v_renorm(psi, T, d, m),
+    lambda psi, T, d, m: md.strong_convexity_scan(T, d, m, [(-1, 1)] * 2, 3),
+    lambda psi, T, d, m: md.un_small_n(psi, T, d, m, 2),
+], ids=["u_limit", "self_consistent_density", "v_renorm", "hessian_v_renorm",
+        "strong_convexity_scan", "un_small_n"])
+@pytest.mark.parametrize("flat_convex", [False, True])
+def test_refuses_non_positive_temperature(call, T, flat_convex, uniform_circle, monkeypatch):
+    d = md.fourier_decompose([1.0, -0.3] if flat_convex else [1.0], 2)
+
+    def no_tilt(*args, **kwargs):
+        raise AssertionError("a tilt was computed before the temperature was checked")
+
+    monkeypatch.setattr(md, "_tilted_masses", no_tilt)
+    monkeypatch.setattr(md, "tilted_weights", no_tilt)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        call(ModeField(coords=np.array([0.5, -0.2])), T, d, uniform_circle)
 
 
 # -- finite-N potential --------------------------------------------------------------------
@@ -379,12 +476,9 @@ def test_un_monte_carlo_oracle(gaussian_measure):
 def _un_tensor(psi, T, decomp, measure, n):
     """Reference u_N by (N-1)-fold tail-tensor quadrature: each head node
     sees the tail's product measure tilted by -head/(Tn)."""
-    zeta = psi.as_vector(decomp)
-    feats = decomp.weighted_modes(measure.nodes)
-    if decomp.pos_modes:
-        p_mode = decomp.pos_modes[0]
-        feats = np.vstack([feats, math.sqrt(p_mode.weight) * p_mode(measure.nodes)])
-        zeta = np.concatenate([zeta, [0.0]])
+    feats = np.vstack([decomp.weighted_modes(measure.nodes)]
+                      + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
+    zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
     scale = 1.0 / (2.0 * T * n)
 
     def exponent(sums):
@@ -416,6 +510,8 @@ def _un_oracle_cases():
     alpha4 = _tanh_decomposition(4.0)
     cases = [("xy", xy, "circle", [0.5, -0.2], 4),
              ("xy_pos", xy_pos, "circle", [0.5, -0.2], 4),
+             # a negative cosine coefficient: the (cos 2x, sin 2x) flat-convex pair
+             ("fourier_flat_pair", md.fourier_decompose([1.0, -0.3], 2), "circle", [0.5, -0.2], 3),
              ("tanh_gaussian", _tanh_decomposition(0.5), "gaussian", [0.3, 0.4], 3),
              ("tanh_quartic1", _tanh_decomposition(0.5), "quartic1", [0.3, 0.4], 3),
              # a strong quadratic part: the pair weights span hundreds of e-folds

@@ -65,9 +65,15 @@ def test_grid_too_narrow(quartic1_measure):
     lambda m, T: rn.renorm_potential(m, T, np.linspace(-1.0, 1.0, 5)),
     lambda m, T: rn.magnetization_map(m, T, 0.5),
     lambda m, T: rn.coarse_free_energy(m, T, np.linspace(-0.5, 0.5, 5)),
-], ids=["renorm_potential", "magnetization_map", "coarse_free_energy"])
-@pytest.mark.parametrize("T", [0.0, float("nan")])
-def test_temperature_must_be_positive(quartic1_measure, call, T):
+    lambda m, T: rn.auto_phi_grid(m, T, 11),
+], ids=["renorm_potential", "magnetization_map", "coarse_free_energy", "auto_phi_grid"])
+@pytest.mark.parametrize("T", [0.0, float("nan"), -1.0])
+def test_temperature_must_be_positive(quartic1_measure, call, T, monkeypatch):
+    def no_tilt(*args, **kwargs):
+        raise AssertionError("a tilt was computed before the temperature was checked")
+
+    monkeypatch.setattr(rn, "tilt_table", no_tilt)
+    monkeypatch.setattr(rn, "tilt_moments", no_tilt)
     with pytest.raises(ValueError, match="temperature must be positive"):
         call(quartic1_measure, T)
 
@@ -349,6 +355,31 @@ def test_pl_positive_near_critical(quartic1_measure, quartic1_tc):
         quartic1_measure, T, np.linspace(-0.8, 0.8, 801)))
     assert coarse > 0 and fine > 0
     assert fine <= coarse * 1.05 + 1e-9  # finer scan can only lower the infimum
+
+
+@pytest.mark.parametrize("ratio", [1.02, 1.1, 1.5, 3.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_pl_constant_is_the_curvature_at_zero(lam, ratio):
+    # fhat = I - m^2/(2T), I the Legendre transform of log Z, so fhat''(m) =
+    # 1/var(h_m) - 1/T, least at m = 0 in the class check_ghs certifies: the
+    # PL constant is kappa = 1/T_c - 1/T.  The table gives it as the second
+    # difference at m = 0, which exceeds kappa by h^2 I''''(0)/12 + O(h^4), with
+    # I''''(0) = -k4/T_c^4 and k4 < 0 the fourth cumulant of the base measure
+    measure = build_measure(PotentialSpec.quartic(lam), 1e-10)
+    p = quad1d.tilted_weights([[0.0]], measure.nodes[None, :], measure.weights,
+                              measure.log_density)[1][0]
+    t_c = float(np.sum(p * measure.nodes**2))
+    assert abs(t_c - rn.critical_temperature(measure)) <= 1e-12
+    k4 = float(np.sum(p * measure.nodes**4)) - 3.0 * t_c**2
+    assert k4 < 0.0
+    T = ratio * t_c
+    kappa = 1.0 / t_c - 1.0 / T
+    for points in (201, 801):
+        h = 1.6 / (points - 1)
+        lead = -k4 / t_c**4 * h**2 / 12.0
+        pl = rn.pl_constant(rn.coarse_free_energy(measure, T, np.linspace(-0.8, 0.8, points)))
+        assert abs(pl - kappa - lead) <= 0.01 * lead  # so 0 < pl - kappa <= 1.01 lead
+        assert abs(pl / kappa - 1.0) <= (3.3e-4 if points == 201 else 2.1e-5)
 
 
 def test_pl_multiple_minima():
