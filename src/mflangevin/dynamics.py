@@ -106,8 +106,10 @@ class SimConfig:
             xs = np.linspace(-4.0, 4.0, 257)
         dstep = xs[1] - xs[0]
         vpp = np.max(np.abs(np.diff(self.potential.derivative(xs)) / dstep))
-        inter = (1.0 if self.modes is None else self.modes.l_bound**2) / self.temperature
-        return float(vpp) + inter
+        # the drift has both parts: L^2 and the flat-convex part's sum of w sup|p'|^2
+        inter = 1.0 if self.modes is None else self.modes.l_bound**2 + sum(
+            m.weight * m.sup_grad() ** 2 for m in self.modes.pos_modes)
+        return float(vpp) + inter / self.temperature
 
     @property
     def n_kept(self) -> int:

@@ -33,11 +33,12 @@ from .errors import (
     ConsistencyCheckFailed,
     FixedPointDiverged,
     GridExplosion,
+    GridFailure,
     TooManyModes,
     TruncationTooCoarse,
     Unsupported,
 )
-from .quad1d import LineMeasure, PotentialSpec, _tilted_masses, build_measure, tilted_weights
+from .quad1d import LineMeasure, PotentialSpec, _rebuild_for_tilts, _tilted_masses, build_measure
 
 __all__ = [
     "Mode",
@@ -149,7 +150,6 @@ class ModeDecomposition:
             if not 0.0 <= m.weight < math.inf:
                 raise ValueError("mode weights must be finite and nonnegative, "
                                  f"got {m.weight!r}")
-        for m in self.neg_modes:
             sup = float(np.max(np.abs(np.concatenate((m(_CIRCLE_GRID), m(_PROBE))))))
             if not sup <= 1.0 + 1e-9:  # np.max keeps a NaN, and NaN fails this
                 raise ValueError(f"mode functions must map into [-1, 1]; got sup {sup:.3g}")
@@ -157,15 +157,9 @@ class ModeDecomposition:
     @functools.cached_property
     def m_bound(self) -> float:
         """Sup bound M: sqrt of the larger grid sup of |sum_k w_k n_k(x) n_k(y)| of the parts."""
-        def part_sup(modes):
-            if not modes:
-                return 0.0
-            acc = np.zeros((len(_CIRCLE_GRID), len(_CIRCLE_GRID)))
-            for m in modes:
-                acc += m.weight * np.multiply.outer(m(_CIRCLE_GRID), m(_CIRCLE_GRID))
-            return float(np.max(np.abs(acc)))
-
-        return math.sqrt(max(part_sup(self.neg_modes), part_sup(self.pos_modes)))
+        rows, d = self.features(_CIRCLE_GRID), self.dim
+        parts = rows[d - len(self.neg_modes):d], rows[d:]  # the mode part, the flat-convex part
+        return math.sqrt(max(float(np.max(np.abs(f.T @ f))) for f in parts))
 
     @functools.cached_property
     def l_bound(self) -> float:
@@ -177,15 +171,18 @@ class ModeDecomposition:
         """Dimension of the field space in orthonormal coordinates."""
         return (1 if self.alpha > 0 else 0) + len(self.neg_modes)
 
-    def weighted_modes(self, x: np.ndarray) -> np.ndarray:
-        """Rows sqrt(w_k) n_k(x); first row sqrt(alpha)*x when alpha > 0."""
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Feature rows at x: sqrt(alpha)*x when alpha > 0, then sqrt(w_k) n_k(x)
+        over the mode part and sqrt(w_k) p_k(x) over the flat-convex part.  A
+        field acts on the first ``dim`` rows."""
         x = np.asarray(x, dtype=float)
-        rows = []
-        if self.alpha > 0:
-            rows.append(math.sqrt(self.alpha) * x)
-        for m in self.neg_modes:
-            rows.append(math.sqrt(m.weight) * m(x))
+        rows = [math.sqrt(self.alpha) * x] if self.alpha > 0 else []
+        rows += [math.sqrt(m.weight) * m(x) for m in self.neg_modes + self.pos_modes]
         return np.vstack(rows) if rows else np.empty((0, len(x)))
+
+    def weighted_modes(self, x: np.ndarray) -> np.ndarray:
+        """The feature rows a field acts on."""
+        return self.features(x)[:self.dim]
 
     def signed_terms(self, x: np.ndarray) -> list:
         """(c, n(x), n'(x)) for every mode, c = +w on the negative part and
@@ -198,12 +195,8 @@ class ModeDecomposition:
 
     def reconstruction(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel value sum_neg w n(x)n(y) - sum_pos w p(x)p(y) (+ alpha x y)."""
-        out = self.alpha * np.multiply.outer(x, y)
-        for m in self.neg_modes:
-            out += m.weight * np.multiply.outer(m(x), m(y))
-        for m in self.pos_modes:
-            out -= m.weight * np.multiply.outer(m(x), m(y))
-        return out
+        fx, fy, d = self.features(x), self.features(y), self.dim
+        return fx[:d].T @ fy[:d] - fx[d:].T @ fy[d:]
 
     def to_json(self) -> str:
         def enc(modes):
@@ -366,53 +359,69 @@ def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
     """Constrained free-energy bracket at a density given w.r.t. the base
     measure: entropy + flat-convex interaction - field drive.  The
     self-consistent density minimises this over all densities."""
-    zeta = psi.as_vector(decomp)
-    nm = decomp.weighted_modes(measure.nodes)
-    p = tilted_weights([[0.0]], measure.nodes[None, :],  # the base masses, times dens
-                       measure.weights, measure.log_density)[1][0] * dens
+    _, q, z = _tilted_masses([[0.0]], measure.nodes[None, :], measure.weights,
+                             measure.log_density)
+    p = q[0] / z[0] * dens  # the base masses, times dens
+    means = decomp.features(measure.nodes) @ p
+    flat = means[decomp.dim:]
     entropy = float(np.sum(p[dens > 0] * np.log(dens[dens > 0])))
-    interaction = 0.0
-    for m in decomp.pos_modes:
-        interaction += m.weight * float(np.sum(p * m(measure.nodes))) ** 2
-    interaction /= 2.0 * T
-    drive = float(zeta @ (nm @ p)) / T if decomp.dim else 0.0
-    return entropy + interaction - drive
+    drive = float(psi.as_vector(decomp) @ means[:decomp.dim]) / T
+    return entropy + float(flat @ flat) / (2.0 * T) - drive
+
+
+def _feature_moments(features: np.ndarray, masses: np.ndarray):
+    """Means (B, d) and covariances (B, d, d) of the feature rows (d, n) under
+    each row of the normalised masses (B, n)."""
+    mean = np.einsum("bn,dn->bd", masses, features)
+    centred = features[None, :, :] - mean[:, :, None]
+    return mean, (centred * masses[:, None, :]) @ centred.transpose(0, 2, 1)
+
+
+def _widened(measure: LineMeasure, decomp: ModeDecomposition, zeta0, T: float) -> LineMeasure:
+    """The grid for quadratic coordinates zeta0: the measure's, widened on the real
+    line for the tilts 0 and sqrt(alpha) zeta0/T by tilt_table's rule.  The other
+    rows are bounded, so their tilts leave the tails as they are."""
+    if decomp.alpha == 0:
+        return measure
+    h = np.append(math.sqrt(decomp.alpha) * np.asarray(zeta0, dtype=float) / T, 0.0)
+    return _rebuild_for_tilts(measure, float(h.min()), float(h.max()))
 
 
 def _flat_convex_minimum(psi: ModeField, T: float, decomp: ModeDecomposition,
                          measure: LineMeasure):
-    """Minimum over the flat-convex mode means u of the strictly convex
-    Psi(u) = log Z(zeta/T, -W u/T) + u.W u/(2T), Z the base mass tilted by
-    (zeta.n(x) - (W u).p(x))/T.  Newton steps (I + C_pp W/T) delta = E_u[p] - u
-    are halved until Psi falls by 1e-4 of the Newton decrement, up to Psi's
-    rounding, and end once the decrement is at most _NEWTON_TOL.  Returns
-    Psi(u*) - log Z_0 and the masses of the base measure (row 0) and at the
-    self-consistent u* = E_u*[p] (row 1); u is empty without a flat-convex part."""
+    """Minimum of the strictly convex Psi(v) = log Z(zeta/T, -v/T) + |v|^2/(2T)
+    over v = W^(1/2) u, u the flat-convex mode means, Z the base mass tilted by
+    zeta.n(x)/T - v.f(x)/T, n and f the ``features`` before and after row ``dim``.
+    Newton steps (I + C_ff/T) delta = E_v[f] - v, the steps in u (Newton is
+    affine-invariant), are halved until Psi falls by 1e-4 of the decrement, up to
+    Psi's rounding, and end at a decrement of _NEWTON_TOL.  Returns Psi(v*) -
+    log Z_0, the masses of the base measure (row 0) and at v* = E_v*[f] (row 1),
+    and their grid, ``_widened`` once; v is empty without a flat-convex part."""
     if not T > 0:
         raise ValueError("temperature must be positive")
-    zeta, nodes = psi.as_vector(decomp), measure.nodes
-    pos = np.array([m(nodes) for m in decomp.pos_modes]).reshape(-1, len(nodes))
-    w = np.array([m.weight for m in decomp.pos_modes])
-    features = np.vstack([decomp.weighted_modes(nodes), pos])
+    zeta = psi.as_vector(decomp)
+    grid = _widened(measure, decomp, zeta[:1], T)
+    features = decomp.features(grid.nodes)
+    flat = features[decomp.dim:]
 
-    def at(u):  # Psi(u), log Z_0 and the masses, from one tilted-measure call
-        fields = np.vstack([np.zeros(len(features)), np.concatenate([zeta, -w * u]) / T])
-        log_z, q, z = _tilted_masses(fields, features, measure.weights, measure.log_density)
-        return log_z[1] + u @ (w * u) / (2.0 * T), log_z[0], q / z[:, None]
+    def at(v):  # Psi(v), log Z_0 and the masses, from one tilted-measure call
+        fields = np.vstack([np.zeros(len(features)), np.concatenate([zeta, -v]) / T])
+        log_z, q, z = _tilted_masses(fields, features, grid.weights, grid.log_density)
+        return log_z[1] + v @ v / (2.0 * T), log_z[0], q / z[:, None]
 
-    u = np.zeros(len(w))
-    value, log_z0, q = at(u)
+    v = np.zeros(len(flat))
+    value, log_z0, q = at(v)
     for _ in range(_NEWTON_MAX_ITER):
-        mean = pos @ q[1]
-        centred = pos - mean[:, None]
-        step = np.linalg.solve(np.eye(len(u)) + (centred * q[1]) @ centred.T * w / T, mean - u)
-        decrement = (mean - u) @ (w * step) / T  # minus Psi's slope along the step
+        mean, cov = _feature_moments(flat, q[1:])
+        gap = mean[0] - v
+        step = np.linalg.solve(np.eye(len(v)) + cov[0] / T, gap)
+        decrement = gap @ step / T  # minus Psi's slope along the step
         if decrement <= _NEWTON_TOL:  # NaN goes on, to the step cap
-            return value - log_z0, q
+            return value - log_z0, q, grid
         t, slack = 1.0, _PSI_ROUNDING * max(1.0, abs(value))
-        while (trial := at(u + t * step))[0] > value - 1e-4 * t * decrement + slack:
+        while (trial := at(v + t * step))[0] > value - 1e-4 * t * decrement + slack:
             t /= 2.0
-        u += t * step
+        v += t * step
         value, _, q = trial
     raise FixedPointDiverged(f"Newton on the flat-convex means left decrement "
                              f"{decrement:.3e} after {_NEWTON_MAX_ITER} steps")
@@ -421,15 +430,19 @@ def _flat_convex_minimum(psi: ModeField, T: float, decomp: ModeDecomposition,
 def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
                             measure: LineMeasure) -> np.ndarray:
     """Density (w.r.t. the base measure) minimising the free-energy bracket:
-    the tilt at the minimiser of _flat_convex_minimum."""
-    q = _flat_convex_minimum(psi, T, decomp, measure)[1]
+    the tilt at the minimiser of _flat_convex_minimum.  It lives on the
+    measure's nodes, so GridFailure is raised where the tilt needs a wider grid."""
+    _, q, grid = _flat_convex_minimum(psi, T, decomp, measure)
+    if grid is not measure:
+        raise GridFailure("the self-consistent density needs the grid widened to "
+                          "[{:.6g}, {:.6g}], past the measure's own".format(*grid.domain_bounds))
     return q[1] / q[0]
 
 
 def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
             measure: LineMeasure) -> float:
     """Limiting non-quadratic part of the effective potential, -(min Psi - log Z_0)
-    (_flat_convex_minimum): without a flat-convex part the closed form
+    (_flat_convex_minimum, on its widened grid): without a flat-convex part the closed form
     -log integral exp((psi, n(x))_H / T) alpha(dx), which vanishes at psi = 0;
     with one the bracket value at the self-consistent density, which need not."""
     return -float(_flat_convex_minimum(psi, T, decomp, measure)[0])
@@ -452,10 +465,9 @@ def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
     if decomp.pos_modes:
         raise Unsupported("Hessian closed form requires an empty flat-convex part")
     nm = decomp.weighted_modes(measure.nodes)                    # (dim, n)
-    _, p = tilted_weights(zetas / T, nm, measure.weights, measure.log_density)
-    centred = nm[None, :, :] - np.einsum("bn,dn->bd", p, nm)[:, :, None]  # (B, dim, n)
-    cov = (centred * p[:, None, :]) @ centred.transpose(0, 2, 1)
-    hess = np.eye(decomp.dim) / T - cov / T**2
+    _, q, z = _tilted_masses(zetas / T, nm, measure.weights, measure.log_density)
+    q /= z[:, None]
+    hess = np.eye(decomp.dim) / T - _feature_moments(nm, q)[1] / T**2
     asym = float(np.max(np.abs(hess - hess.transpose(0, 2, 1))))
     if asym > 1e-12:
         raise ConsistencyCheckFailed(f"Hessian asymmetry {asym:.3e}")
@@ -468,14 +480,15 @@ def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
 
         (1/T) Id - (1/T^2) Cov[ sqrt(w_k) n_k(x) ]
 
-    under the tilted single-particle measure.  Only available without a
-    flat-convex part (Unsupported otherwise).
+    under the tilted single-particle measure, on a ``_widened`` grid.  Only
+    available without a flat-convex part (Unsupported otherwise).
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
     if decomp.dim == 0:
         raise ValueError("decomposition has no modes")
-    return _hessians(psi.as_vector(decomp)[None, :], T, decomp, measure)[0]
+    zeta = psi.as_vector(decomp)
+    return _hessians(zeta[None, :], T, decomp, _widened(measure, decomp, zeta[:1], T))[0]
 
 
 def _min_eigs(points: np.ndarray, T: float, decomp: ModeDecomposition,
@@ -496,7 +509,8 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
     ``lambda_hat`` is the exact minimum; ``argmin`` is the first grid point (in
     product order, the last coordinate fastest) whose eigenvalue is within
     1e-12*max(1, |lambda_hat|) of it, so symmetric points that tie up to
-    rounding always report the same one.
+    rounding always report the same one.  The grid is ``_widened`` once for the
+    region, so no eigenvalue depends on how the points are chunked.
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
@@ -511,7 +525,7 @@ def strong_convexity_scan(T: float, decomp: ModeDecomposition, measure: LineMeas
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
     # rows in itertools.product order: the last coordinate varies fastest
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, decomp.dim)
-    eigs = _min_eigs(points, T, decomp, measure)
+    eigs = _min_eigs(points, T, decomp, _widened(measure, decomp, points[:, 0], T))
     lam = float(eigs.min())
     best = int(np.argmax(eigs <= lam + _ARGMIN_TIE * max(1.0, abs(lam))))
     return ScanResult(lambda_hat=lam, argmin=points[best],
@@ -648,9 +662,8 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     if size > _TENSOR_BUDGET:
         raise GridExplosion(f"N={n} on {m_pts} nodes needs {size} entries > {_TENSOR_BUDGET}")
 
-    # each flat-convex mode is one more feature row, with no field on it
-    feats = np.vstack([decomp.weighted_modes(measure.nodes)]
-                      + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
+    # flat-convex rows carry no field; the site tilt, confined by -alpha x^2/(2Tn), is not widened
+    feats = decomp.features(measure.nodes)
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
     # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
     fields = np.array([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))])

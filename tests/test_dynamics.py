@@ -166,6 +166,15 @@ def test_stability_warning_uses_the_bound_of_the_modes():
                      seed=1, potential=PotentialSpec.periodic_fourier([]), modes=dec)
 
 
+@pytest.mark.parametrize("part", ["neg", "pos"])
+def test_stability_warning_counts_both_parts(part):
+    # the drift has both parts: a weight-1000 rotor pair is as stiff on either side
+    dec = md.ModeDecomposition(**{f"{part}_modes": md.fourier_decompose([1000.0], 1).neg_modes})
+    with pytest.warns(RuntimeWarning, match="dt\\*stiffness"):
+        dy.SimConfig(n_particles=4, temperature=2.0, dt=1e-3, n_steps=100, burn_in=0,
+                     seed=1, potential=PotentialSpec.periodic_fourier([]), modes=dec)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         gaussian_config(burn_in=100, n_steps=100)

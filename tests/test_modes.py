@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mflangevin import modes as md
 from mflangevin import renormalized as rn
 from mflangevin.errors import (ConsistencyCheckFailed, FixedPointDiverged, GridExplosion,
-                              TooManyModes, TruncationTooCoarse, Unsupported)
+                              GridFailure, TooManyModes, TruncationTooCoarse, Unsupported)
 from mflangevin.modes import Mode, ModeField
 from mflangevin.quad1d import tilted_weights
 
@@ -75,6 +75,17 @@ def test_reconstruction_residual(xy):
     assert np.max(np.abs(recon - target)) < 1e-12
 
 
+def test_reconstruction_of_every_part():
+    d = md.ModeDecomposition(alpha=0.7, pos_modes=(Mode(0.2, "sin", 2),),
+                             neg_modes=(Mode(0.3, "cos", 1), Mode(0.5, "custom", fn=np.tanh)))
+    x, y = np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 3.0, 5)
+    expected = (0.7 * np.multiply.outer(x, y) + 0.3 * np.multiply.outer(np.cos(x), np.cos(y))
+                + 0.5 * np.multiply.outer(np.tanh(x), np.tanh(y))
+                - 0.2 * np.multiply.outer(np.sin(2 * x), np.sin(2 * y)))
+    assert np.max(np.abs(d.reconstruction(x, y) - expected)) <= 1e-14
+    assert np.array_equal(d.weighted_modes(x), d.features(x)[:d.dim])
+
+
 def test_truncation_too_coarse():
     with pytest.raises(TruncationTooCoarse):
         md.fourier_decompose(lambda t: np.cos(3 * t), 2, 1e-9)
@@ -98,8 +109,13 @@ def test_json_round_trip(xy):
     # NaN only off the circle, on the probe of the real line
     ({"neg_modes": (Mode(1.0, "custom", fn=lambda x: np.where(x > 7.0, np.nan, np.sin(x))),)},
      "map into"),
+    # the flat-convex part is checked as the mode part is
+    ({"pos_modes": (Mode(1.0, "custom", fn=lambda x: 3.0 * np.cos(x)),)}, "map into"),
+    ({"pos_modes": (Mode(1.0, "custom", fn=lambda x: np.where(x > 3.0, np.nan, np.cos(x))),)},
+     "map into"),
 ], ids=["negative_alpha", "nan_alpha", "infinite_alpha", "negative_weight", "nan_weight",
-        "infinite_pos_weight", "custom_3tanh", "custom_nan", "custom_nan_off_circle"])
+        "infinite_pos_weight", "custom_3tanh", "custom_nan", "custom_nan_off_circle",
+        "custom_flat_convex_3cos", "custom_flat_convex_nan"])
 def test_constructor_refuses_bad_parts(parts, message):
     with pytest.raises(ValueError, match=message):
         md.ModeDecomposition(**parts)
@@ -157,6 +173,53 @@ def test_v_renorm_matches_quadratic_route(quartic1_measure, quartic1_tc):
         v0 = md.v_renorm(ModeField(coords=np.empty(0), quad_part=float(grid[mid])),
                          T, d, quartic1_measure)
         assert abs((v - v0) - (table.v[i] - table.v[mid])) < 1e-8
+
+# A Gaussian base measure with a quadratic part: the tilt h = sqrt(alpha) zeta_0/T has
+# log Z = h^2/2 and variance 1.  Far tilts need the real-line grid widened.
+_GAUSSIAN_TILTS = [(1.0, 2.0, 0.2), (1.0, 0.5, 1.0), (4.0, 1.0, 0.5), (2.0, 3.0, 0.3),
+                   (0.05, 6.0, 0.05)]
+
+
+@pytest.mark.parametrize("alpha,zeta0,T", _GAUSSIAN_TILTS)
+def test_u_limit_gaussian_closed_form(alpha, zeta0, T, gaussian_measure):
+    d = md.ModeDecomposition(alpha=alpha)
+    h = math.sqrt(alpha) * zeta0 / T
+    u = md.u_limit(ModeField.from_vector([zeta0], d), T, d, gaussian_measure)
+    assert abs(u + h * h / 2.0) <= 1e-12 * max(1.0, h * h / 2.0)
+
+
+@pytest.mark.parametrize("alpha,zeta0,T", _GAUSSIAN_TILTS)
+def test_hessian_gaussian_closed_form(alpha, zeta0, T, gaussian_measure):
+    d = md.ModeDecomposition(alpha=alpha)
+    hess = md.hessian_v_renorm(ModeField.from_vector([zeta0], d), T, d, gaussian_measure)
+    exact = 1.0 / T - alpha / T**2
+    assert abs(hess[0, 0] - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("alpha,zeta0,T", _GAUSSIAN_TILTS[:4])
+def test_u1_gaussian_closed_form(alpha, zeta0, T, gaussian_measure):
+    # N = 1: the site tilt h x - alpha x^2/(2T) of a standard Gaussian
+    d = md.ModeDecomposition(alpha=alpha)
+    h, r = math.sqrt(alpha) * zeta0 / T, alpha / T
+    res = md.un_small_n(ModeField.from_vector([zeta0], d), T, d, gaussian_measure, 1)
+    exact = 0.5 * math.log1p(r) - h * h / (2.0 * (1.0 + r))
+    assert abs(res.u_n - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_u_limit_bounded_modes_move_the_gaussian_part_little(gaussian_measure):
+    # the tanh mode moves log Z by at most |zeta_1|/T from the quadratic part's h^2/2
+    d = _tanh_decomposition(16.0)
+    h = 4.0 * 0.3 / 0.05
+    u = md.un_small_n(ModeField.from_vector([0.3, 0.4], d), 0.05, d, gaussian_measure, 1).u_limiting
+    assert abs(u + h * h / 2.0) <= 0.4 / 0.05 + 1e-9
+
+
+def test_self_consistent_density_refuses_a_widened_grid(gaussian_measure):
+    d = md.ModeDecomposition(alpha=1.0)
+    near = md.self_consistent_density(ModeField.from_vector([0.0], d), 1.0, d, gaussian_measure)
+    assert near.shape == gaussian_measure.nodes.shape
+    with pytest.raises(GridFailure, match="widened"):
+        md.self_consistent_density(ModeField.from_vector([2.0], d), 0.2, d, gaussian_measure)
 
 
 # -- Hessian ---------------------------------------------------------------------------
@@ -292,6 +355,26 @@ def test_min_eigs_do_not_depend_on_the_chunk(count, seed, T, xy, uniform_circle)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(md, "_HESSIAN_CHUNK", chunk)
             assert md._min_eigs(points, T, xy, uniform_circle).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_scan_matches_renorm_potential_on_the_real_line(T, quartic1_measure):
+    # alpha = 1 and no modes: the coordinate is the auxiliary field phi itself
+    phi = np.linspace(-100.0, 100.0, 201)
+    scan = md.strong_convexity_scan(T, md.ModeDecomposition(alpha=1.0), quartic1_measure,
+                                    [(-100.0, 100.0)], 201)
+    ddv = rn.renorm_potential(quartic1_measure, T, phi).ddv
+    assert np.max(np.abs(scan.min_eigs - ddv)) <= 1e-12 * max(1.0, float(np.max(np.abs(ddv))))
+
+
+def test_min_eigs_do_not_depend_on_the_chunk_real_line(quartic1_measure, monkeypatch):
+    # the grid is widened once for the region, not per chunk of points
+    d = md.ModeDecomposition(alpha=0.5, neg_modes=(Mode(0.8, "custom", fn=np.tanh),))
+    args = (0.7, d, quartic1_measure, [(-60.0, 60.0), (-2.0, 2.0)], 23)
+    whole = md.strong_convexity_scan(*args).min_eigs
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(md, "_HESSIAN_CHUNK", chunk)
+        assert md.strong_convexity_scan(*args).min_eigs.tobytes() == whole.tobytes()
 
 
 def test_secant_strong_convexity(xy, uniform_circle):
@@ -438,8 +521,7 @@ def test_refuses_non_positive_temperature(call, T, flat_convex, uniform_circle, 
     def no_tilt(*args, **kwargs):
         raise AssertionError("a tilt was computed before the temperature was checked")
 
-    monkeypatch.setattr(md, "_tilted_masses", no_tilt)
-    monkeypatch.setattr(md, "tilted_weights", no_tilt)
+    monkeypatch.setattr(md, "_tilted_masses", no_tilt)  # every tilt in modes goes through it
     with pytest.raises(ValueError, match="temperature must be positive"):
         call(ModeField(coords=np.array([0.5, -0.2])), T, d, uniform_circle)
 
