@@ -64,10 +64,6 @@ class FixedPointDiverged(NumericalError):
     """Newton on the flat-convex mode means did not converge within its step cap."""
 
 
-class Unsupported(PreconditionError):
-    """Closed-form path not available for this decomposition."""
-
-
 class TooManyModes(PreconditionError):
     """Grid scan is exponential in mode count; refuse large decompositions."""
 

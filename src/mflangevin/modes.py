@@ -36,7 +36,6 @@ from .errors import (
     GridFailure,
     TooManyModes,
     TruncationTooCoarse,
-    Unsupported,
 )
 from .quad1d import LineMeasure, PotentialSpec, _rebuild_for_tilts, _tilted_masses, build_measure
 
@@ -179,10 +178,6 @@ class ModeDecomposition:
         rows = [math.sqrt(self.alpha) * x] if self.alpha > 0 else []
         rows += [math.sqrt(m.weight) * m(x) for m in self.neg_modes + self.pos_modes]
         return np.vstack(rows) if rows else np.empty((0, len(x)))
-
-    def weighted_modes(self, x: np.ndarray) -> np.ndarray:
-        """The feature rows a field acts on."""
-        return self.features(x)[:self.dim]
 
     def signed_terms(self, x: np.ndarray) -> list:
         """(c, n(x), n'(x)) for every mode, c = +w on the negative part and
@@ -387,44 +382,48 @@ def _widened(measure: LineMeasure, decomp: ModeDecomposition, zeta0, T: float) -
     return _rebuild_for_tilts(measure, float(h.min()), float(h.max()))
 
 
-def _flat_convex_minimum(psi: ModeField, T: float, decomp: ModeDecomposition,
+def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
                          measure: LineMeasure):
-    """Minimum of the strictly convex Psi(v) = log Z(zeta/T, -v/T) + |v|^2/(2T)
+    """Minima of the strictly convex Psi(v) = log Z(zeta/T, -v/T) + |v|^2/(2T)
     over v = W^(1/2) u, u the flat-convex mode means, Z the base mass tilted by
-    zeta.n(x)/T - v.f(x)/T, n and f the ``features`` before and after row ``dim``.
+    zeta.n(x)/T - v.f(x)/T (n, f the ``features`` before and after row ``dim``),
+    one per row zeta of zetas (B, dim); u_limit and the Hessians take their tilt here.
     Newton steps (I + C_ff/T) delta = E_v[f] - v, the steps in u (Newton is
-    affine-invariant), are halved until Psi falls by 1e-4 of the decrement, up to
-    Psi's rounding, and end at a decrement of _NEWTON_TOL.  Returns Psi(v*) -
-    log Z_0, the masses of the base measure (row 0) and at v* = E_v*[f] (row 1),
-    and their grid, ``_widened`` once; v is empty without a flat-convex part."""
+    affine-invariant), are halved row by row until Psi falls by 1e-4 of the
+    decrement, up to Psi's rounding; a row stops (t = 0) at a decrement of
+    _NEWTON_TOL, so its bits are a one-row call's.  Returns Psi(v*) - log Z_0
+    (B,), the masses of the base measure (row 0) and at each v* = E_v*[f], and
+    their grid, ``_widened`` once for all rows; v is empty without a flat-convex part."""
     if not T > 0:
         raise ValueError("temperature must be positive")
-    zeta = psi.as_vector(decomp)
-    grid = _widened(measure, decomp, zeta[:1], T)
+    grid = _widened(measure, decomp, zetas[:, :1], T)
     features = decomp.features(grid.nodes)
     flat = features[decomp.dim:]
 
     def at(v):  # Psi(v), log Z_0 and the masses, from one tilted-measure call
-        fields = np.vstack([np.zeros(len(features)), np.concatenate([zeta, -v]) / T])
+        fields = np.vstack([np.zeros(len(features)), np.hstack([zetas, -v]) / T])
         log_z, q, z = _tilted_masses(fields, features, grid.weights, grid.log_density)
-        return log_z[1] + v @ v / (2.0 * T), log_z[0], q / z[:, None]
+        q /= z[:, None]
+        return log_z[1:] + np.vecdot(v, v) / (2.0 * T), log_z[0], q
 
-    v = np.zeros(len(flat))
+    v = np.zeros((len(zetas), len(flat)))
     value, log_z0, q = at(v)
     for _ in range(_NEWTON_MAX_ITER):
         mean, cov = _feature_moments(flat, q[1:])
-        gap = mean[0] - v
-        step = np.linalg.solve(np.eye(len(v)) + cov[0] / T, gap)
-        decrement = gap @ step / T  # minus Psi's slope along the step
-        if decrement <= _NEWTON_TOL:  # NaN goes on, to the step cap
+        gap = mean - v
+        step = np.linalg.solve(np.eye(len(flat)) + cov / T, gap[:, :, None])[:, :, 0]
+        decrement = np.vecdot(gap, step) / T  # minus Psi's slope along the step
+        t = np.where(decrement <= _NEWTON_TOL, 0.0, 1.0)  # NaN goes on, to the step cap
+        if not t.any():
             return value - log_z0, q, grid
-        t, slack = 1.0, _PSI_ROUNDING * max(1.0, abs(value))
-        while (trial := at(v + t * step))[0] > value - 1e-4 * t * decrement + slack:
-            t /= 2.0
-        v += t * step
+        slack = _PSI_ROUNDING * np.maximum(1.0, np.abs(value))
+        while np.any(back := (trial := at(v + t[:, None] * step))[0]
+                     > value - 1e-4 * t * decrement + slack):
+            t[back] /= 2.0
+        v += t[:, None] * step
         value, _, q = trial
     raise FixedPointDiverged(f"Newton on the flat-convex means left decrement "
-                             f"{decrement:.3e} after {_NEWTON_MAX_ITER} steps")
+                             f"{np.max(decrement):.3e} after {_NEWTON_MAX_ITER} steps")
 
 
 def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
@@ -432,7 +431,7 @@ def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
     """Density (w.r.t. the base measure) minimising the free-energy bracket:
     the tilt at the minimiser of _flat_convex_minimum.  It lives on the
     measure's nodes, so GridFailure is raised where the tilt needs a wider grid."""
-    _, q, grid = _flat_convex_minimum(psi, T, decomp, measure)
+    _, q, grid = _flat_convex_minimum(psi.as_vector(decomp)[None, :], T, decomp, measure)
     if grid is not measure:
         raise GridFailure("the self-consistent density needs the grid widened to "
                           "[{:.6g}, {:.6g}], past the measure's own".format(*grid.domain_bounds))
@@ -445,7 +444,7 @@ def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
     (_flat_convex_minimum, on its widened grid): without a flat-convex part the closed form
     -log integral exp((psi, n(x))_H / T) alpha(dx), which vanishes at psi = 0;
     with one the bracket value at the self-consistent density, which need not."""
-    return -float(_flat_convex_minimum(psi, T, decomp, measure)[0])
+    return -float(_flat_convex_minimum(psi.as_vector(decomp)[None, :], T, decomp, measure)[0][0])
 
 
 def v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
@@ -461,13 +460,19 @@ _HESSIAN_CHUNK = 512
 
 def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
               measure: LineMeasure) -> np.ndarray:
-    """Hessians (B, dim, dim) of the effective potential at the rows of zetas."""
+    """Hessians (B, dim, dim) of the effective potential at the rows of zetas,
+    Id/T - C_nn/T^2 + C_nf (Id + C_ff/T)^(-1) C_fn/T^3 with C the covariances
+    of the feature rows (n before row ``dim``, f after it) at the masses of
+    _flat_convex_minimum; the last term, by which the flat-convex means follow
+    the field, is left out without a flat-convex part, so no -0.0 changes sign."""
+    _, q, grid = _flat_convex_minimum(zetas, T, decomp, measure)
+    d = decomp.dim
+    cov = _feature_moments(decomp.features(grid.nodes), q[1:])[1]
+    hess = np.eye(d) / T - cov[:, :d, :d] / T**2
     if decomp.pos_modes:
-        raise Unsupported("Hessian closed form requires an empty flat-convex part")
-    nm = decomp.weighted_modes(measure.nodes)                    # (dim, n)
-    _, q, z = _tilted_masses(zetas / T, nm, measure.weights, measure.log_density)
-    q /= z[:, None]
-    hess = np.eye(decomp.dim) / T - _feature_moments(nm, q)[1] / T**2
+        c_nf = cov[:, :d, d:]
+        hess += c_nf @ np.linalg.solve(np.eye(len(decomp.pos_modes)) + cov[:, d:, d:] / T,
+                                       c_nf.transpose(0, 2, 1)) / T**3
     asym = float(np.max(np.abs(hess - hess.transpose(0, 2, 1))))
     if asym > 1e-12:
         raise ConsistencyCheckFailed(f"Hessian asymmetry {asym:.3e}")
@@ -476,19 +481,12 @@ def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
 
 def hessian_v_renorm(psi: ModeField, T: float, decomp: ModeDecomposition,
                      measure: LineMeasure) -> np.ndarray:
-    """Hessian of the effective potential in orthonormal coordinates:
-
-        (1/T) Id - (1/T^2) Cov[ sqrt(w_k) n_k(x) ]
-
-    under the tilted single-particle measure, on a ``_widened`` grid.  Only
-    available without a flat-convex part (Unsupported otherwise).
-    """
-    if not T > 0:
-        raise ValueError("temperature must be positive")
-    if decomp.dim == 0:
+    """Hessian of the effective potential in orthonormal coordinates at the
+    self-consistent density (``_hessians``, on a ``_widened`` grid); without a
+    flat-convex part, (1/T) Id - (1/T^2) Cov[sqrt(w_k) n_k(x)] under the tilt."""
+    if decomp.dim == 0:  # T is checked by _flat_convex_minimum, before any tilt
         raise ValueError("decomposition has no modes")
-    zeta = psi.as_vector(decomp)
-    return _hessians(zeta[None, :], T, decomp, _widened(measure, decomp, zeta[:1], T))[0]
+    return _hessians(psi.as_vector(decomp)[None, :], T, decomp, measure)[0]
 
 
 def _min_eigs(points: np.ndarray, T: float, decomp: ModeDecomposition,

@@ -255,14 +255,14 @@ def pl_constant(table: FreeEnergyTable) -> float:
     Returns the grid infimum of |fhat'(m)|^2 / (2 (fhat(m) - fhat(m*)));
     at the minimiser the 0/0 ratio is replaced by the local second derivative
     from second differences (the exact limit for a smooth minimum).  Raises
-    MultipleMinima when the global minimum is not unique on the grid.
+    MultipleMinima when a point off the minimiser ties with it to 1e-12 max(1, |fhat*|).
     """
     m, f = table.m_grid, table.values
     if len(m) < 5:
         raise ValueError("free-energy table too short")
     i_star = int(np.argmin(f))
     step = float(np.max(np.diff(m)))
-    near = np.flatnonzero(f - f[i_star] < 1e-8)
+    near = np.flatnonzero(f - f[i_star] <= 1e-12 * max(1.0, abs(f[i_star])))
     if np.any(np.abs(m[near] - m[i_star]) > step * 1.5):
         raise MultipleMinima("free energy has two global grid minima")
 

@@ -151,6 +151,21 @@ def test_modes_decompose_and_scan(tmp_path):
     assert header == "zeta_1,zeta_2,min_eig"
 
 
+def test_scan_convexity_with_a_flat_convex_part(tmp_path):
+    # the negative coefficient becomes the flat-convex pair (cos 2x, sin 2x); at
+    # T = 0.8 the least eigenvalue sits at zeta = 0, on the rotor floor
+    out = tmp_path / "dec"
+    assert run("modes-decompose", "--kernel-coefficients", "1.0,-0.3",
+               "--max-frequency", "2", "--out", str(out)) == 0
+    assert len(read_json(out / "decomposition.json")["pos"]) == 2
+    scan_out = tmp_path / "scan"
+    assert run("scan-convexity", "--decomposition", str(out / "decomposition.json"),
+               "--T", "0.8", "--grid", "5", "--radius", "2", "--out", str(scan_out)) == 0
+    scan = read_json(scan_out / "scan.json")
+    assert abs(scan["lambda_hat"] - (1 / 0.8 - 1 / (2 * 0.8**2))) <= 1e-12
+    assert scan["argmin"] == [0.0, 0.0]
+
+
 def test_un_gap(tmp_path):
     out = tmp_path / "un"
     assert run("un-gap", "--psi", "0.5,0", "--T", "1.0", "--n-values", "1,2",

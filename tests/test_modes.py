@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mflangevin import modes as md
-from mflangevin import renormalized as rn
+from mflangevin import quad1d, renormalized as rn
 from mflangevin.errors import (ConsistencyCheckFailed, FixedPointDiverged, GridExplosion,
-                              GridFailure, TooManyModes, TruncationTooCoarse, Unsupported)
+                              GridFailure, TooManyModes, TruncationTooCoarse)
 from mflangevin.modes import Mode, ModeField
 from mflangevin.quad1d import tilted_weights
 
@@ -83,7 +83,6 @@ def test_reconstruction_of_every_part():
                 + 0.5 * np.multiply.outer(np.tanh(x), np.tanh(y))
                 - 0.2 * np.multiply.outer(np.sin(2 * x), np.sin(2 * y)))
     assert np.max(np.abs(d.reconstruction(x, y) - expected)) <= 1e-14
-    assert np.array_equal(d.weighted_modes(x), d.features(x)[:d.dim])
 
 
 def test_truncation_too_coarse():
@@ -238,10 +237,65 @@ def test_hessian_floor_at_low_temperature(xy, uniform_circle):
         assert np.linalg.eigvalsh(h)[0] >= bound - 1e-9
 
 
-def test_hessian_refuses_pos_modes(uniform_circle):
-    d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1),), pos_modes=(Mode(0.2, "cos", 2),))
-    with pytest.raises(Unsupported):
-        md.hessian_v_renorm(ModeField(coords=np.zeros(1)), 1.0, d, uniform_circle)
+def _fd_hessian(zeta, T, decomp, measure, step):
+    """Central second differences of v_renorm (test oracle)."""
+    def v_at(vec):
+        return md.v_renorm(ModeField(coords=vec), T, decomp, measure)
+
+    dim = len(zeta)
+    fd = np.empty((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            ei, ej = np.eye(dim)[i] * step, np.eye(dim)[j] * step
+            fd[i, j] = (v_at(zeta + ei + ej) - v_at(zeta + ei - ej)
+                        - v_at(zeta - ei + ej) + v_at(zeta - ei - ej)) / (4.0 * step**2)
+    return fd
+
+
+def _rotor_with_flat_pair(w):
+    """The rotor pair plus the flat-convex modes w (cos 2x, sin 2x)."""
+    return md.ModeDecomposition(neg_modes=md.xy_decomposition().neg_modes,
+                                pos_modes=(Mode(w, "cos", 2), Mode(w, "sin", 2)))
+
+
+@pytest.mark.parametrize("case", ["one_mode", "rotor_flat_pair", "fourier4"])
+def test_hessian_with_pos_modes_matches_finite_differences(case, uniform_circle):
+    # the flat-convex means follow the field: the Hessian at the self-consistent
+    # density matches second differences of v_renorm (h = 1e-3 leaves at most
+    # 3.6e-7 here)
+    measure, T = uniform_circle, 0.8
+    if case == "one_mode":
+        d = md.ModeDecomposition(neg_modes=(Mode(1.0, "cos", 1),),
+                                 pos_modes=(Mode(0.2, "cos", 2),))
+        zetas, T = [[0.0], [0.9]], 1.0
+    elif case == "rotor_flat_pair":
+        d, zetas = _rotor_with_flat_pair(0.3), [[0.0, 0.0], [0.7, -0.4], [1.5, 0.3]]
+    else:
+        d = md.fourier_decompose([1.0, -0.3, 0.2, -0.5], 4)
+        measure = quad1d.build_measure(quad1d.PotentialSpec.periodic_fourier([0.3, -0.2]), 1e-10)
+        zetas = [[0.0] * 4, [0.7, -0.4, 0.2, 0.1]]
+    for zeta in np.array(zetas):
+        h = md.hessian_v_renorm(ModeField(coords=zeta), T, d, measure)
+        assert np.max(np.abs(h - _fd_hessian(zeta, T, d, measure, 1e-3))) <= 1e-6
+
+
+@pytest.mark.parametrize("T", [0.6, 0.8, 1.5])
+def test_hessian_with_pos_modes_keeps_the_rotor_floor(T, uniform_circle):
+    # cos 2x and sin 2x are orthogonal to the rotor pair under the uniform
+    # density, so at zeta = 0 the flat-convex part leaves 1/T - 1/(2T^2)
+    d = md.fourier_decompose([1.0, -0.3], 2)
+    h = md.hessian_v_renorm(ModeField(coords=np.zeros(2)), T, d, uniform_circle)
+    assert np.max(np.abs(h - (1.0 / T - 1.0 / (2.0 * T**2)) * np.eye(2))) <= 1e-12
+
+
+def test_hessian_with_vanishing_flat_weight(xy, uniform_circle):
+    # the Hessian moves by O(w) from the rotor's as the flat-convex weight w falls
+    # (0.072 w here)
+    psi = ModeField(coords=np.array([0.7, -0.4]))
+    rotor = md.hessian_v_renorm(psi, 0.8, xy, uniform_circle)
+    for w in (1e-2, 1e-4, 1e-6):
+        h = md.hessian_v_renorm(psi, 0.8, _rotor_with_flat_pair(w), uniform_circle)
+        assert 0.0 < np.max(np.abs(h - rotor)) <= 0.1 * w
 
 
 def test_hessian_matches_finite_differences(xy, uniform_circle):
@@ -250,17 +304,7 @@ def test_hessian_matches_finite_differences(xy, uniform_circle):
     for _ in range(10):
         zeta = rng.uniform(-2.0, 2.0, 2)
         h = md.hessian_v_renorm(ModeField(coords=zeta), 0.8, xy, uniform_circle)
-
-        def v_at(vec):
-            return md.v_renorm(ModeField(coords=vec), 0.8, xy, uniform_circle)
-
-        fd = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                ei, ej = np.eye(2)[i] * step, np.eye(2)[j] * step
-                fd[i, j] = (v_at(zeta + ei + ej) - v_at(zeta + ei - ej)
-                            - v_at(zeta - ei + ej) + v_at(zeta - ei - ej)) / (4.0 * step**2)
-        assert np.max(np.abs(fd - h)) < 1e-5
+        assert np.max(np.abs(_fd_hessian(zeta, 0.8, xy, uniform_circle, step) - h)) < 1e-5
 
 
 # -- convexity scan ----------------------------------------------------------------------
@@ -297,7 +341,7 @@ def _scan_loop_oracle(T, decomp, measure, region, grid):
     the tilted measure normalised through log base masses (test oracle)."""
     g = measure.log_density + np.log(measure.weights)
     base = g - (np.max(g) + np.log(np.sum(np.exp(g - np.max(g)))))
-    nm = decomp.weighted_modes(measure.nodes)
+    nm = decomp.features(measure.nodes)[:decomp.dim]
     points, eigs = [], []
     for combo in itertools.product(*[np.linspace(lo, hi, grid) for lo, hi in region]):
         zeta = np.array(combo)
@@ -349,12 +393,14 @@ def test_scan_argmin_first_of_ties(T, grid, xy, uniform_circle):
 @settings(max_examples=15, deadline=None)
 @given(count=st.integers(1, 700), seed=st.integers(0, 2**32 - 1), T=st.floats(0.3, 2.0))
 def test_min_eigs_do_not_depend_on_the_chunk(count, seed, T, xy, uniform_circle):
+    # with a flat-convex part too: each row's Newton stops on its own
     points = np.random.default_rng(seed).uniform(-6.0, 6.0, (count, 2))
-    whole = np.linalg.eigvalsh(md._hessians(points, T, xy, uniform_circle))[:, 0]
-    for chunk in (1, 7, 64, 512):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(md, "_HESSIAN_CHUNK", chunk)
-            assert md._min_eigs(points, T, xy, uniform_circle).tobytes() == whole.tobytes()
+    for d in (xy, md.fourier_decompose([1.0, -0.3], 2)):
+        whole = np.linalg.eigvalsh(md._hessians(points, T, d, uniform_circle))[:, 0]
+        for chunk in (1, 7, 64, 512):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(md, "_HESSIAN_CHUNK", chunk)
+                assert md._min_eigs(points, T, d, uniform_circle).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
@@ -418,7 +464,7 @@ def _damped_fixed_point(psi, T, decomp, measure):
     zeta = psi.as_vector(decomp)
     pos_vals = np.vstack([p(measure.nodes) for p in decomp.pos_modes])
     pos_w = np.array([p.weight for p in decomp.pos_modes])
-    features = np.vstack([decomp.weighted_modes(measure.nodes), pos_vals])
+    features = np.vstack([decomp.features(measure.nodes)[:decomp.dim], pos_vals])
 
     def gibbs(p):
         fields = np.concatenate([zeta, -pos_w * (pos_vals @ p)]) / T
@@ -449,9 +495,8 @@ _DAMPED_STALLS = {(10, 0.1), (30, 0.1), (30, 0.35), (30, 1.0), (100, 0.1), (100,
 
 def _fixed_point_cases():
     xy = md.xy_decomposition()
-    cases = [pytest.param(md.ModeDecomposition(
-                neg_modes=xy.neg_modes, pos_modes=(Mode(w, "cos", 2), Mode(w, "sin", 2))),
-              [1.5, 0.3], T, (w, T) not in _DAMPED_STALLS, id=f"w={w}-T={T}")
+    cases = [pytest.param(_rotor_with_flat_pair(w), [1.5, 0.3], T, (w, T) not in _DAMPED_STALLS,
+                          id=f"w={w}-T={T}")
              for w in (0.3, 3, 10, 30, 100) for T in (0.1, 0.35, 1.0)]
     one = md.ModeDecomposition(neg_modes=xy.neg_modes, pos_modes=(Mode(0.4, "cos", 2),))
     return cases + [pytest.param(one, [0.7, -0.2], 0.9, True, id="one_mode")]
@@ -482,8 +527,7 @@ def test_fixed_point_is_minimiser(decomp, vec, T, damped_converges, uniform_circ
 
 
 def test_fixed_point_step_cap(uniform_circle, monkeypatch):
-    d = md.ModeDecomposition(neg_modes=md.xy_decomposition().neg_modes,
-                             pos_modes=(Mode(100.0, "cos", 2), Mode(100.0, "sin", 2)))
+    d = _rotor_with_flat_pair(100.0)
     psi = ModeField(coords=np.array([1.5, 0.3]))
     assert math.isfinite(md.u_limit(psi, 0.1, d, uniform_circle))
     monkeypatch.setattr(md, "_NEWTON_MAX_ITER", 4)
@@ -491,11 +535,22 @@ def test_fixed_point_step_cap(uniform_circle, monkeypatch):
         md.u_limit(psi, 0.1, d, uniform_circle)
 
 
+def test_step_cap_message_when_every_decrement_is_nan(uniform_circle, monkeypatch):
+    # NaN moments give every row a NaN decrement: the rows run to the step cap,
+    # and its message is one line, with no warning on the way
+    moments = md._feature_moments
+    monkeypatch.setattr(md, "_feature_moments",
+                        lambda *args: tuple(np.full_like(a, np.nan) for a in moments(*args)))
+    zetas = np.array([[0.5, -0.2], [0.1, 0.3]])
+    with pytest.raises(FixedPointDiverged, match=r"^Newton on the flat-convex means "
+                                                 r"left decrement nan after 100 steps$"):
+        md._flat_convex_minimum(zetas, 0.8, _rotor_with_flat_pair(0.3), uniform_circle)
+
+
 def test_backtracking_allows_for_the_rounding_of_psi(uniform_circle, monkeypatch):
     # the third Newton step has decrement 7e-19: Psi falls by less than its own
     # rounding (ulp 4e-16), so a strict Armijo test halves that step to nothing
-    d = md.ModeDecomposition(neg_modes=md.xy_decomposition().neg_modes,
-                             pos_modes=(Mode(0.1, "cos", 2), Mode(0.1, "sin", 2)))
+    d = _rotor_with_flat_pair(0.1)
     psi = ModeField(coords=np.array([1.5, 0.3]))
     u = md.u_limit(psi, 0.5, d, uniform_circle)
     assert abs(u - _damped_fixed_point(psi, 0.5, d, uniform_circle)) <= 1e-14 * max(1.0, abs(u))
@@ -558,7 +613,7 @@ def test_un_monte_carlo_oracle(gaussian_measure):
 def _un_tensor(psi, T, decomp, measure, n):
     """Reference u_N by (N-1)-fold tail-tensor quadrature: each head node
     sees the tail's product measure tilted by -head/(Tn)."""
-    feats = np.vstack([decomp.weighted_modes(measure.nodes)]
+    feats = np.vstack([decomp.features(measure.nodes)[:decomp.dim]]
                       + [math.sqrt(m.weight) * m(measure.nodes) for m in decomp.pos_modes])
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
     scale = 1.0 / (2.0 * T * n)
