@@ -37,7 +37,15 @@ from .errors import (
     TooManyModes,
     TruncationTooCoarse,
 )
-from .quad1d import LineMeasure, PotentialSpec, _rebuild_for_tilts, _tilted_masses, build_measure
+from .quad1d import (
+    _TAIL_GAP,
+    CIRCLE,
+    LineMeasure,
+    PotentialSpec,
+    _rebuild_for_tilts,
+    _tilted_masses,
+    build_measure,
+)
 
 __all__ = [
     "Mode",
@@ -392,8 +400,9 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
     affine-invariant), are halved row by row until Psi falls by 1e-4 of the
     decrement, up to Psi's rounding; a row stops (t = 0) at a decrement of
     _NEWTON_TOL, so its bits are a one-row call's.  Returns Psi(v*) - log Z_0
-    (B,), the masses of the base measure (row 0) and at each v* = E_v*[f], and
-    their grid, ``_widened`` once for all rows; v is empty without a flat-convex part."""
+    (B,), the masses of the base measure (row 0) and at each v* = E_v*[f], the
+    feature rows on their grid and the grid, ``_widened`` once for all rows;
+    without a flat-convex part v is empty and no Newton step is taken."""
     if not T > 0:
         raise ValueError("temperature must be positive")
     grid = _widened(measure, decomp, zetas[:, :1], T)
@@ -408,6 +417,8 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
 
     v = np.zeros((len(zetas), len(flat)))
     value, log_z0, q = at(v)
+    if not len(flat):
+        return value - log_z0, q, features, grid
     for _ in range(_NEWTON_MAX_ITER):
         mean, cov = _feature_moments(flat, q[1:])
         gap = mean - v
@@ -415,7 +426,7 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
         decrement = np.vecdot(gap, step) / T  # minus Psi's slope along the step
         t = np.where(decrement <= _NEWTON_TOL, 0.0, 1.0)  # NaN goes on, to the step cap
         if not t.any():
-            return value - log_z0, q, grid
+            return value - log_z0, q, features, grid
         slack = _PSI_ROUNDING * np.maximum(1.0, np.abs(value))
         while np.any(back := (trial := at(v + t[:, None] * step))[0]
                      > value - 1e-4 * t * decrement + slack):
@@ -431,7 +442,7 @@ def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
     """Density (w.r.t. the base measure) minimising the free-energy bracket:
     the tilt at the minimiser of _flat_convex_minimum.  It lives on the
     measure's nodes, so GridFailure is raised where the tilt needs a wider grid."""
-    _, q, grid = _flat_convex_minimum(psi.as_vector(decomp)[None, :], T, decomp, measure)
+    _, q, _, grid = _flat_convex_minimum(psi.as_vector(decomp)[None, :], T, decomp, measure)
     if grid is not measure:
         raise GridFailure("the self-consistent density needs the grid widened to "
                           "[{:.6g}, {:.6g}], past the measure's own".format(*grid.domain_bounds))
@@ -462,12 +473,13 @@ def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
               measure: LineMeasure) -> np.ndarray:
     """Hessians (B, dim, dim) of the effective potential at the rows of zetas,
     Id/T - C_nn/T^2 + C_nf (Id + C_ff/T)^(-1) C_fn/T^3 with C the covariances
-    of the feature rows (n before row ``dim``, f after it) at the masses of
-    _flat_convex_minimum; the last term, by which the flat-convex means follow
-    the field, is left out without a flat-convex part, so no -0.0 changes sign."""
-    _, q, grid = _flat_convex_minimum(zetas, T, decomp, measure)
+    of the feature rows (n before row ``dim``, f after it) under the masses,
+    both as _flat_convex_minimum returns them; the last term, by which the
+    flat-convex means follow the field, is left out without a flat-convex part,
+    so no -0.0 changes sign."""
+    _, q, features, _ = _flat_convex_minimum(zetas, T, decomp, measure)
     d = decomp.dim
-    cov = _feature_moments(decomp.features(grid.nodes), q[1:])[1]
+    cov = _feature_moments(features, q[1:])[1]
     hess = np.eye(d) / T - cov[:, :d, :d] / T**2
     if decomp.pos_modes:
         c_nf = cov[:, :d, d:]
@@ -647,7 +659,9 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     Expanding |S|^2 gives a pair model: site masses h tilted by zeta.f/T -
     |f|^2/(2TN) and pair weights exp(-f_a.f_b/(TN)), so log Z_N = N log Z_h +
     log E(product of pair weights), with E over h^N, to about 1e-14 relative.
-    Raises ConsistencyCheckFailed only past _log_pair_sum's work limit.
+    Raises ConsistencyCheckFailed only past _log_pair_sum's work limit, and
+    GridFailure on the real line where the site exponent at an end of the grid
+    comes within _TAIL_GAP of its interior maximum: the grid cuts the tilt off.
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
@@ -660,17 +674,31 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     if size > _TENSOR_BUDGET:
         raise GridExplosion(f"N={n} on {m_pts} nodes needs {size} entries > {_TENSOR_BUDGET}")
 
-    # flat-convex rows carry no field; the site tilt, confined by -alpha x^2/(2Tn), is not widened
-    feats = decomp.features(measure.nodes)
+    # flat-convex rows carry no field; the site tilt, confined by -alpha x^2/(2Tn), is not
+    # widened: on the real line, a tilt that the grid's ends cut off is refused
+    def site_rows(x):  # the feature rows at x, then |f|^2
+        f = decomp.features(x)
+        return np.vstack([f, np.einsum("ij,ij->j", f, f)])
+
+    rows = site_rows(measure.nodes)
+    feats = rows[:-1]
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
     # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
     fields = np.array([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))])
-    rows = np.vstack([feats, np.einsum("ij,ij->j", feats, feats)])
     log_z, _, _ = _tilted_masses(fields, rows, measure.weights, measure.log_density)
+    site = fields[1] @ rows + measure.log_density  # log h up to the weights and log Z_h
+    if measure.potential.domain != CIRCLE:
+        ends = np.array(measure.domain_bounds)
+        at_ends = fields[1] @ site_rows(ends) - measure.potential.value(ends)
+        if np.any(at_ends > np.max(site) - _TAIL_GAP):
+            raise GridFailure(
+                "the N={} site tilt zeta/T = {} reaches within {:g} of its peak at an end of "
+                "the grid [{:.6g}, {:.6g}], which cuts it off".format(
+                    n, np.array2string(zeta[:decomp.dim] / T, precision=6), _TAIL_GAP,
+                    *measure.domain_bounds))
     u_n = -(log_z[1] - log_z[0])
     if n > 1:  # log h in closed form: the masses themselves underflow at far nodes
-        share = (fields[1] @ rows + measure.log_density + np.log(measure.weights)
-                 - log_z[1]) / (n - 1)
+        share = (site + np.log(measure.weights) - log_z[1]) / (n - 1)
         # lw_ab = -f_a.f_b/(Tn) + (log h_a + log h_b)/(n - 1), as one product: each
         # node's log h is shared among its n - 1 pairs
         one = np.ones(m_pts)

@@ -183,6 +183,20 @@ def test_un_gap_refuses_empty_or_repeated_n_values(tmp_path, capsys, n_values):
     assert not (out / "un_gap.csv").exists()
 
 
+def test_un_gap_refuses_a_site_tilt_the_grid_cuts_off(tmp_path, capsys):
+    # the N = 1 site tilt of the standard Gaussian peaks at x = 13.4, past [-9, 9]
+    dec = tmp_path / "dec.json"
+    dec.write_text(modes.ModeDecomposition(alpha=0.05).to_json())
+    out = tmp_path / "o"
+    code = run("un-gap", "--decomposition", str(dec), "--potential", "gaussian",
+               "--T", "0.05", "--psi", "6", "--n-values", "1", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "site tilt" in err and "[-9, 9]" in err
+    assert not (out / "un_gap.csv").exists()
+
+
 def test_un_gap_work_limit_exit_3(tmp_path, capsys, monkeypatch):
     # a strong quadratic part at T = 0.05: N = 3 sums underflowed inner sums again
     dec = tmp_path / "dec.json"

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mflangevin import graphs as gr
 from mflangevin.errors import InfeasibleDegree, NoConvergence
@@ -188,7 +189,28 @@ def test_power_iteration_matches_dense(maker):
     rep = gr.spectral_report(g)
     dense = g.adjacency().toarray() - g.d_eff * np.ones((g.n, g.n)) / g.n
     top = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
-    assert abs(rep.top_singular - top) < 1e-8 * top
+    assert abs(rep.top_singular - top) < 1e-13 * top
+    assert rep.residual < 1e-8 * rep.top_singular
+
+
+def _top_at_machine_precision(g):
+    """|lambda| from eigsh run to machine precision (tol=0), on spectral_report's
+    operator from its start vector."""
+    a = g.adjacency()
+    op = LinearOperator((g.n, g.n), matvec=lambda x: gr.centered_matvec(g, a, x), dtype=float)
+    v0 = np.random.default_rng(np.random.SeedSequence([g.seed, 0xB])).standard_normal(g.n)
+    (lam,), _ = eigsh(op, k=1, which="LM", tol=0, v0=v0, maxiter=gr._MAX_ITER)
+    return abs(float(lam))
+
+
+@pytest.mark.parametrize("kind,seed", [(k, s) for k in ("rrg", "er") for s in range(3)])
+def test_lanczos_stopping_rule_keeps_the_eigenvalue(kind, seed):
+    # criterion 6's graphs: stopping at residual 1e-9 |lambda| leaves lambda's
+    # error near residual^2/gap, far below rounding
+    g = gr.gen_rrg(2000, 50, seed) if kind == "rrg" else gr.gen_er(2000, 60.0, seed)
+    rep = gr.spectral_report(g)
+    want = _top_at_machine_precision(g)
+    assert abs(rep.top_singular - want) <= 1e-14 * want
     assert rep.residual < 1e-8 * rep.top_singular
 
 

@@ -205,6 +205,15 @@ def test_u1_gaussian_closed_form(alpha, zeta0, T, gaussian_measure):
     assert abs(res.u_n - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+def test_u1_refuses_a_site_tilt_the_grid_cuts_off(gaussian_measure):
+    # the last tilt of _GAUSSIAN_TILTS peaks at x = hT/(T + alpha) = 13.4, past the
+    # grid's [-9, 9]: the truncated sum would read u_1 = -157.37 against -179.65
+    alpha, zeta0, T = _GAUSSIAN_TILTS[-1]
+    d = md.ModeDecomposition(alpha=alpha)
+    with pytest.raises(GridFailure, match=r"N=1 site tilt .* grid \[-9, 9\]"):
+        md.un_small_n(ModeField.from_vector([zeta0], d), T, d, gaussian_measure, 1)
+
+
 def test_u_limit_bounded_modes_move_the_gaussian_part_little(gaussian_measure):
     # the tanh mode moves log Z by at most |zeta_1|/T from the quadratic part's h^2/2
     d = _tanh_decomposition(16.0)
