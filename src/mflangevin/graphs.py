@@ -13,7 +13,10 @@ rounding while the vector is not; running on to a machine-precision vector
 costs about 1.6 times the matvecs and leaves the value where it was.  A
 report's `iterations` counts the matvecs up to that stop and its `residual`
 is the returned pair's ||B v - lambda v||: below 1e-9 |lambda|, not at
-machine precision.
+machine precision.  Graphs of at most _DENSE_MAX vertices take a dense
+eigendecomposition instead: it is faster there, and ARPACK, whose Krylov space
+can close after a few steps on such graphs, restarts from a random vector that
+v0 does not fix, so its `iterations` and `residual` would vary between runs.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ __all__ = [
 _RESTART_BUDGET = 10_000
 _MAX_ITER = 100_000
 _LANCZOS_TOL = 1e-9  # Ritz residual / |lambda| at which ARPACK stops
+_DENSE_MAX = 112  # vertices up to which spectral_report decomposes B densely (it is faster)
 _ER_BLOCK = 1 << 20  # candidate pairs per block of rows in gen_er
 _PACKED_MAX = np.iinfo(np.int64).max  # largest key*F + position gen_rrg sorts as one int64
 
@@ -161,12 +165,18 @@ def spectral_report(g: GraphInstance) -> SpectralReport:
     spectrum: below rounding on criterion 6's graphs.  `iterations` counts the
     matvecs by B up to that stop; `residual` is ||B v - lambda v|| of the
     returned Ritz pair, so below 1e-9 |lambda| rather than at machine precision.
+    Up to _DENSE_MAX vertices B is decomposed densely, so a report reruns to the
+    same bits: `iterations` is 0 and `residual` that of the dense eigenvector.
     """
     if g.d_eff <= 0:
         return SpectralReport(epsilon=0.0, top_singular=0.0, iterations=0, residual=0.0)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     a = g.adjacency()
+    if g.n <= _DENSE_MAX:
+        lams, vecs = np.linalg.eigh(a.toarray() - g.d_eff / g.n)
+        i = int(np.argmax(np.abs(lams)))
+        return _report(g, a, lams[i], vecs[:, i], 0)
     matvecs = 0
 
     def matvec(x):
@@ -180,7 +190,11 @@ def spectral_report(g: GraphInstance) -> SpectralReport:
         (lam,), vecs = eigsh(op, k=1, which="LM", tol=_LANCZOS_TOL, v0=v0, maxiter=_MAX_ITER)
     except ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos did not converge in {_MAX_ITER} restarts") from exc
-    v = vecs[:, 0]
+    return _report(g, a, lam, vecs[:, 0], matvecs)
+
+
+def _report(g: GraphInstance, a: sparse.csr_matrix, lam, v: np.ndarray,
+            matvecs: int) -> SpectralReport:
     s = abs(float(lam))
     residual = float(np.linalg.norm(centered_matvec(g, a, v) - lam * v))
     return SpectralReport(epsilon=s / g.d_eff, top_singular=s, iterations=matvecs,

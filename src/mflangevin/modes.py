@@ -163,10 +163,11 @@ class ModeDecomposition:
 
     @functools.cached_property
     def m_bound(self) -> float:
-        """Sup bound M: sqrt of the larger grid sup of |sum_k w_k n_k(x) n_k(y)| of the parts."""
-        rows, d = self.features(_CIRCLE_GRID), self.dim
+        """Sup bound M: sqrt of the larger sup of |sum_k w_k n_k(x) n_k(y)| of the parts, at
+        x = y by Cauchy-Schwarz: the max of sum_k w_k n_k(x)^2 where the ranges are checked."""
+        rows, d = self.features(np.concatenate((_CIRCLE_GRID, _PROBE))), self.dim
         parts = rows[d - len(self.neg_modes):d], rows[d:]  # the mode part, the flat-convex part
-        return math.sqrt(max(float(np.max(np.abs(f.T @ f))) for f in parts))
+        return math.sqrt(max(float(np.max(np.sum(f * f, axis=0))) for f in parts))
 
     @functools.cached_property
     def l_bound(self) -> float:
@@ -362,9 +363,7 @@ def bracket_value(dens: np.ndarray, psi: ModeField, T: float,
     """Constrained free-energy bracket at a density given w.r.t. the base
     measure: entropy + flat-convex interaction - field drive.  The
     self-consistent density minimises this over all densities."""
-    _, q, z = _tilted_masses([[0.0]], measure.nodes[None, :], measure.weights,
-                             measure.log_density)
-    p = q[0] / z[0] * dens  # the base masses, times dens
+    p = measure.base[1] * dens
     means = decomp.features(measure.nodes) @ p
     flat = means[decomp.dim:]
     entropy = float(np.sum(p[dens > 0] * np.log(dens[dens > 0])))
@@ -399,9 +398,9 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
     Newton steps (I + C_ff/T) delta = E_v[f] - v, the steps in u (Newton is
     affine-invariant), are halved row by row until Psi falls by 1e-4 of the
     decrement, up to Psi's rounding; a row stops (t = 0) at a decrement of
-    _NEWTON_TOL, so its bits are a one-row call's.  Returns Psi(v*) - log Z_0
-    (B,), the masses of the base measure (row 0) and at each v* = E_v*[f], the
-    feature rows on their grid and the grid, ``_widened`` once for all rows;
+    _NEWTON_TOL, so its bits are a one-row call's.  Returns Psi(v*) - log Z_0 (B,),
+    log Z_0 from the grid's ``base``, the tilts' masses (B, n) at each v* = E_v*[f],
+    the feature rows on their grid and the grid, ``_widened`` once for all rows;
     without a flat-convex part v is empty and no Newton step is taken."""
     if not T > 0:
         raise ValueError("temperature must be positive")
@@ -409,30 +408,30 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
     features = decomp.features(grid.nodes)
     flat = features[decomp.dim:]
 
-    def at(v):  # Psi(v), log Z_0 and the masses, from one tilted-measure call
-        fields = np.vstack([np.zeros(len(features)), np.hstack([zetas, -v]) / T])
-        log_z, q, z = _tilted_masses(fields, features, grid.weights, grid.log_density)
+    def at(v):  # Psi(v) and the masses, from one tilted-measure call
+        log_z, q, z = _tilted_masses(np.hstack([zetas, -v]) / T, features, grid.weights,
+                                     grid.log_density)
         q /= z[:, None]
-        return log_z[1:] + np.vecdot(v, v) / (2.0 * T), log_z[0], q
+        return log_z + np.vecdot(v, v) / (2.0 * T), q
 
     v = np.zeros((len(zetas), len(flat)))
-    value, log_z0, q = at(v)
+    value, q = at(v)
     if not len(flat):
-        return value - log_z0, q, features, grid
+        return value - grid.base[0], q, features, grid
     for _ in range(_NEWTON_MAX_ITER):
-        mean, cov = _feature_moments(flat, q[1:])
+        mean, cov = _feature_moments(flat, q)
         gap = mean - v
         step = np.linalg.solve(np.eye(len(flat)) + cov / T, gap[:, :, None])[:, :, 0]
         decrement = np.vecdot(gap, step) / T  # minus Psi's slope along the step
         t = np.where(decrement <= _NEWTON_TOL, 0.0, 1.0)  # NaN goes on, to the step cap
         if not t.any():
-            return value - log_z0, q, features, grid
+            return value - grid.base[0], q, features, grid
         slack = _PSI_ROUNDING * np.maximum(1.0, np.abs(value))
         while np.any(back := (trial := at(v + t[:, None] * step))[0]
                      > value - 1e-4 * t * decrement + slack):
             t[back] /= 2.0
         v += t[:, None] * step
-        value, _, q = trial
+        value, q = trial
     raise FixedPointDiverged(f"Newton on the flat-convex means left decrement "
                              f"{np.max(decrement):.3e} after {_NEWTON_MAX_ITER} steps")
 
@@ -440,13 +439,14 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
 def self_consistent_density(psi: ModeField, T: float, decomp: ModeDecomposition,
                             measure: LineMeasure) -> np.ndarray:
     """Density (w.r.t. the base measure) minimising the free-energy bracket:
-    the tilt at the minimiser of _flat_convex_minimum.  It lives on the
-    measure's nodes, so GridFailure is raised where the tilt needs a wider grid."""
+    the masses of the tilt at the minimiser of _flat_convex_minimum over the
+    measure's ``base`` masses.  It lives on the measure's nodes, so GridFailure
+    is raised where the tilt needs a wider grid."""
     _, q, _, grid = _flat_convex_minimum(psi.as_vector(decomp)[None, :], T, decomp, measure)
     if grid is not measure:
         raise GridFailure("the self-consistent density needs the grid widened to "
                           "[{:.6g}, {:.6g}], past the measure's own".format(*grid.domain_bounds))
-    return q[1] / q[0]
+    return q[0] / grid.base[1]
 
 
 def u_limit(psi: ModeField, T: float, decomp: ModeDecomposition,
@@ -473,13 +473,13 @@ def _hessians(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
               measure: LineMeasure) -> np.ndarray:
     """Hessians (B, dim, dim) of the effective potential at the rows of zetas,
     Id/T - C_nn/T^2 + C_nf (Id + C_ff/T)^(-1) C_fn/T^3 with C the covariances
-    of the feature rows (n before row ``dim``, f after it) under the masses,
-    both as _flat_convex_minimum returns them; the last term, by which the
+    of the feature rows (n before row ``dim``, f after it) under the tilts'
+    masses, both as _flat_convex_minimum returns them; the last term, by which the
     flat-convex means follow the field, is left out without a flat-convex part,
     so no -0.0 changes sign."""
     _, q, features, _ = _flat_convex_minimum(zetas, T, decomp, measure)
     d = decomp.dim
-    cov = _feature_moments(features, q[1:])[1]
+    cov = _feature_moments(features, q)[1]
     hess = np.eye(d) / T - cov[:, :d, :d] / T**2
     if decomp.pos_modes:
         c_nf = cov[:, :d, d:]
@@ -683,22 +683,21 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     rows = site_rows(measure.nodes)
     feats = rows[:-1]
     zeta = np.concatenate([psi.as_vector(decomp), np.zeros(len(decomp.pos_modes))])
-    # row 0: the base measure; row 1: the site tilt zeta.f/T - |f|^2/(2Tn)
-    fields = np.array([np.zeros(len(zeta) + 1), np.append(zeta / T, -0.5 / (T * n))])
-    log_z, _, _ = _tilted_masses(fields, rows, measure.weights, measure.log_density)
-    site = fields[1] @ rows + measure.log_density  # log h up to the weights and log Z_h
+    field = np.append(zeta / T, -0.5 / (T * n))  # the site tilt zeta.f/T - |f|^2/(2Tn)
+    (log_z_h,), _, _ = _tilted_masses(field[None, :], rows, measure.weights, measure.log_density)
+    site = field @ rows + measure.log_density  # log h up to the weights and log Z_h
     if measure.potential.domain != CIRCLE:
         ends = np.array(measure.domain_bounds)
-        at_ends = fields[1] @ site_rows(ends) - measure.potential.value(ends)
+        at_ends = field @ site_rows(ends) - measure.potential.value(ends)
         if np.any(at_ends > np.max(site) - _TAIL_GAP):
             raise GridFailure(
                 "the N={} site tilt zeta/T = {} reaches within {:g} of its peak at an end of "
                 "the grid [{:.6g}, {:.6g}], which cuts it off".format(
                     n, np.array2string(zeta[:decomp.dim] / T, precision=6), _TAIL_GAP,
                     *measure.domain_bounds))
-    u_n = -(log_z[1] - log_z[0])
+    u_n = -(log_z_h - measure.base[0])
     if n > 1:  # log h in closed form: the masses themselves underflow at far nodes
-        share = (site + np.log(measure.weights) - log_z[1]) / (n - 1)
+        share = (site + np.log(measure.weights) - log_z_h) / (n - 1)
         # lw_ab = -f_a.f_b/(Tn) + (log h_a + log h_b)/(n - 1), as one product: each
         # node's log h is shared among its n - 1 pairs
         one = np.ones(m_pts)

@@ -16,7 +16,7 @@ the requested relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
 
@@ -213,6 +213,7 @@ class LineMeasure:
     nodes/weights form a quadrature rule on [lo, hi] (or [0, 2pi)); the rule
     has already passed the grid-doubling check at tolerance target_tol, and on
     the real line the density at the endpoints is below 1e-16 of its maximum.
+    ``base`` is its log Z_0 and normalised masses, every tilt's denominator.
     Values are immutable after construction and safe to share across threads.
     """
 
@@ -225,6 +226,12 @@ class LineMeasure:
     panels: int
     panel_order: int
     extrapolated: bool = False
+
+    @cached_property
+    def base(self) -> tuple[float, np.ndarray]:
+        """(log Z_0, normalised masses) of exp(-V) on these nodes, kept from first use."""
+        log_z, p = tilted_weights([[0.0]], self.nodes[None, :], self.weights, self.log_density)
+        return float(log_z[0]), p[0]
 
 
 @dataclass(frozen=True)
@@ -440,33 +447,34 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
         prev = None
         for _ in range(_MAX_REFINEMENTS):
             nodes, weights = _circle_grid(points)
-            log_density = -spec.value(nodes)
+            cand = LineMeasure(spec, nodes, weights, -spec.value(nodes), (0.0, 2.0 * np.pi),
+                               tol, panels=points, panel_order=1)
             # Fourier moments certify a trapezoid grid; polynomial moments of
             # the angle are not periodic functions and would not
-            log_z, p = tilted_weights([[0.0]], nodes[None, :], weights, log_density)
-            cur = np.concatenate([log_z, _circle_modes(nodes) @ p[0]])
+            cur = np.concatenate([[cand.base[0]], _circle_modes(nodes) @ cand.base[1]])
             if prev is not None and float(np.max(np.abs(cur - prev))) < tol:
-                return LineMeasure(spec, nodes, weights, log_density, (0.0, 2.0 * np.pi),
-                                   tol, panels=points, panel_order=1)
+                return cand
             prev, points = cur, points * 2
         raise GridFailure("circle grid doubling did not converge")
 
     lo, hi = _find_bounds(spec)
-    extrapolated = spec.uses_extrapolation(lo, hi)
-    order = 16
     panels = max(8, int(math.ceil(hi - lo)))
     prev = None
     for _ in range(_MAX_REFINEMENTS):
-        nodes, weights = _composite_gauss_legendre(lo, hi, panels, order)
-        log_density = -spec.value(nodes)
-        log_z, p = tilted_weights([[0.0]], nodes[None, :], weights, log_density)
-        cur = (log_z[0], *_moments(p[0], nodes))
+        cand = _line_measure(spec, lo, hi, panels, 16, tol)
+        cur = (cand.base[0], *_moments(cand.base[1], cand.nodes))
         if prev is not None and _moment_distance(prev, cur) < tol:
-            return LineMeasure(spec, nodes, weights, log_density, (lo, hi),
-                               tol, panels=panels, panel_order=order,
-                               extrapolated=extrapolated)
+            return cand
         prev, panels = cur, panels * 2
     raise GridFailure("grid doubling did not converge within the refinement budget")
+
+
+def _line_measure(spec: PotentialSpec, lo: float, hi: float, panels: int, order: int,
+                  tol: float) -> LineMeasure:
+    """exp(-V) on Gauss-Legendre panels over [lo, hi]: every real-line grid."""
+    nodes, weights = _composite_gauss_legendre(lo, hi, panels, order)
+    return LineMeasure(spec, nodes, weights, -spec.value(nodes), (lo, hi), tol, panels=panels,
+                       panel_order=order, extrapolated=spec.uses_extrapolation(lo, hi))
 
 
 def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMeasure:
@@ -487,11 +495,7 @@ def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMe
     if panels > 2_000_000:
         raise GridFailure(
             f"tilt [{h_lo:.3g}, {h_hi:.3g}] needs {panels} panels; domain too wide to resolve")
-    nodes, weights = _composite_gauss_legendre(new_lo, new_hi, panels, measure.panel_order)
-    return replace(measure, nodes=nodes, weights=weights,
-                   log_density=-spec.value(nodes), domain_bounds=(new_lo, new_hi),
-                   panels=panels,
-                   extrapolated=measure.extrapolated or spec.uses_extrapolation(new_lo, new_hi))
+    return _line_measure(spec, new_lo, new_hi, panels, measure.panel_order, measure.target_tol)
 
 
 def tilt_table(measure: LineMeasure, hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

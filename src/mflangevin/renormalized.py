@@ -76,9 +76,15 @@ class FreeEnergyTable:
 
 def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarray:
     """Symmetric grid [-W, W], from W = 2 widened until |v'| increases outward
-    at both ends, which guarantees every stationary point is interior."""
+    at both ends, which guarantees every stationary point is interior.  The
+    Gaussian's v(phi) = phi^2 (1 - 1/(c T))/(2T) has no minimiser at c T <= 1,
+    so it is refused there before any tilt."""
     if not T > 0:
         raise ValueError("temperature must be positive")
+    spec = measure.potential
+    if spec.kind == "gaussian" and spec.curvature * T <= 1.0:
+        raise GridTooNarrow(f"v(phi) of the Gaussian has no minimiser at T = {T:.6g} <= "
+                            f"1/curvature = {1.0 / spec.curvature:.6g}")
     w = 2.0
     for _ in range(40):
         probe = np.linspace(-w, w, 9)

@@ -521,6 +521,28 @@ def test_xy_check_below_floor_exit_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
+def test_scan_vt_refuses_a_gaussian_at_or_below_1_over_curvature(tmp_path, capsys):
+    code = run("scan-vt", "--potential", "gaussian", "--curvature", "1", "--T", "0.8",
+               "--out", str(tmp_path / "o"))
+    assert_refused(code, capsys.readouterr().err, "no minimiser", "1/curvature = 1")
+
+
+def test_graph_spectrum_reruns_to_the_same_bytes_on_a_small_graph(tmp_path):
+    # RRG(4, 2): a Krylov space that closes after a few steps, where ARPACK's
+    # restarts would make iterations and residual vary between runs
+    assert run("graph-gen", "--kind", "regular", "--n", "4", "--d", "2", "--seed", "1",
+               "--out", str(tmp_path / "g")) == 0
+    first = tmp_path / "s0"
+    assert run("graph-spectrum", "--graph", str(tmp_path / "g" / "graph.edges"),
+               "--out", str(first)) == 0
+    for i in range(1, 6):
+        again = tmp_path / f"s{i}"
+        assert run("graph-spectrum", "--config", str(first / "sidecar.json"),
+                   "--out", str(again)) == 0
+        for name in ("spectrum.json", "sidecar.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_scan_vt_renorm_files(tmp_path):
     out = tmp_path / "vt"
     assert run("scan-vt", "--potential", "gaussian", "--curvature", "1", "--T", "2",

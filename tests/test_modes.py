@@ -50,6 +50,16 @@ def test_decompose_zero_kernel():
     assert d.m_bound == 0.0 and d.l_bound == 0.0
 
 
+@pytest.mark.parametrize("neg_modes, sup", [
+    ((Mode(1.0, "custom", fn=lambda x: np.sin(x / 10.0)),), 1.0),
+    ((Mode(0.3, "custom", fn=np.cos), Mode(0.5, "custom", fn=np.tanh)), math.sqrt(0.8)),
+], ids=["sin_x_over_10", "cos_and_tanh"])
+def test_m_bound_reads_the_real_line(neg_modes, sup):
+    # sup |sum w n(x) n(y)| sits at x = y, here off the circle: on the probe of the line
+    m = md.ModeDecomposition(neg_modes=neg_modes).m_bound
+    assert sup - 1e-6 <= m <= sup + 1e-12
+
+
 def test_decompose_mixed_signs():
     d = md.fourier_decompose(lambda t: np.cos(t) - 0.3 * np.cos(2 * t), 2, 1e-9)
     # oracle: coefficients by direct trapezoid inner products

@@ -413,6 +413,27 @@ def test_one_feature_kernel_keeps_the_matmul_bits(request, name):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
+@pytest.mark.parametrize("name", ["gaussian_measure", "quartic1_measure", "uniform_circle",
+                                  "widened"])
+def test_base_is_the_zero_row_of_any_batch(request, name):
+    """A measure's base (log Z_0 and masses) has the bits of the zero-field row
+    of a batched tilt on its nodes, with one feature row or two; a widened
+    grid's base is computed on its own, wider nodes."""
+    if name == "widened":
+        narrow = request.getfixturevalue("quartic1_measure")
+        m = quad1d._rebuild_for_tilts(narrow, -100.0, 100.0)
+        assert len(m.nodes) > len(narrow.nodes) and len(m.base[1]) == len(m.nodes)
+        assert m.base[0] != narrow.base[0]
+    else:
+        m = request.getfixturevalue(name)
+    for rows, fields in ((m.nodes[None, :], [[1.5], [0.0], [-2.0]]),
+                         (np.vstack([m.nodes, np.cos(m.nodes)]),
+                          [[1.5, -0.5], [0.0, 0.0], [-2.0, 0.25]])):
+        log_z, p = quad1d.tilted_weights(fields, rows, m.weights, m.log_density)
+        assert np.float64(m.base[0]).tobytes() == log_z[1].tobytes()
+        assert m.base[1].tobytes() == p[1].tobytes()
+
+
 def _split(rows: int, data) -> list:
     """Random cut points that split range(rows) into consecutive slices."""
     cuts = data.draw(st.lists(st.integers(1, rows - 1), max_size=6, unique=True)

@@ -53,6 +53,19 @@ def test_subcritical_two_minimizers(quartic1_measure, quartic1_tc):
     assert abs(m - m_plus) < 1e-8
 
 
+@pytest.mark.parametrize("curvature, T", [(1.0, 0.8), (1.0, 1.0), (2.0, 0.25)])
+def test_auto_phi_grid_refuses_a_gaussian_without_minimiser(curvature, T, monkeypatch):
+    # v(phi) = phi^2 (1 - 1/(c T))/(2T) has no minimiser at c T <= 1: refused before any tilt
+    measure = build_measure(PotentialSpec.gaussian(curvature))
+
+    def no_tilt(*args, **kwargs):
+        raise AssertionError("a tilt was computed for a Gaussian without a minimiser")
+
+    monkeypatch.setattr(rn, "tilt_table", no_tilt)
+    with pytest.raises(GridTooNarrow, match=f"1/curvature = {1.0 / curvature:g}"):
+        rn.auto_phi_grid(measure, T)
+
+
 def test_grid_too_narrow(quartic1_measure):
     with pytest.raises(GridTooNarrow):
         # entirely inside the left well: v' has no ascending crossing
