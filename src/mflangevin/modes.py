@@ -42,9 +42,11 @@ from .quad1d import (
     CIRCLE,
     LineMeasure,
     PotentialSpec,
+    _heavy_ends,
     _rebuild_for_tilts,
     _tilted_masses,
     build_measure,
+    tilted_weights,
 )
 
 __all__ = [
@@ -409,9 +411,8 @@ def _flat_convex_minimum(zetas: np.ndarray, T: float, decomp: ModeDecomposition,
     flat = features[decomp.dim:]
 
     def at(v):  # Psi(v) and the masses, from one tilted-measure call
-        log_z, q, z = _tilted_masses(np.hstack([zetas, -v]) / T, features, grid.weights,
-                                     grid.log_density)
-        q /= z[:, None]
+        log_z, q = tilted_weights(np.hstack([zetas, -v]) / T, features, grid.weights,
+                                  grid.log_density)
         return log_z + np.vecdot(v, v) / (2.0 * T), q
 
     v = np.zeros((len(zetas), len(flat)))
@@ -660,8 +661,8 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     |f|^2/(2TN) and pair weights exp(-f_a.f_b/(TN)), so log Z_N = N log Z_h +
     log E(product of pair weights), with E over h^N, to about 1e-14 relative.
     Raises ConsistencyCheckFailed only past _log_pair_sum's work limit, and
-    GridFailure on the real line where the site exponent at an end of the grid
-    comes within _TAIL_GAP of its interior maximum: the grid cuts the tilt off.
+    GridFailure on the real line where the grids' tail test ``_heavy_ends``
+    finds that an end of the grid cuts the site tilt off.
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
@@ -686,15 +687,14 @@ def un_small_n(psi: ModeField, T: float, decomp: ModeDecomposition,
     field = np.append(zeta / T, -0.5 / (T * n))  # the site tilt zeta.f/T - |f|^2/(2Tn)
     (log_z_h,), _, _ = _tilted_masses(field[None, :], rows, measure.weights, measure.log_density)
     site = field @ rows + measure.log_density  # log h up to the weights and log Z_h
-    if measure.potential.domain != CIRCLE:
-        ends = np.array(measure.domain_bounds)
-        at_ends = field @ site_rows(ends) - measure.potential.value(ends)
-        if np.any(at_ends > np.max(site) - _TAIL_GAP):
-            raise GridFailure(
-                "the N={} site tilt zeta/T = {} reaches within {:g} of its peak at an end of "
-                "the grid [{:.6g}, {:.6g}], which cuts it off".format(
-                    n, np.array2string(zeta[:decomp.dim] / T, precision=6), _TAIL_GAP,
-                    *measure.domain_bounds))
+    if measure.potential.domain != CIRCLE and any(_heavy_ends(
+            measure.potential, measure.domain_bounds, lambda x: field @ site_rows(x),
+            measure.nodes, measure.log_density)):
+        raise GridFailure(
+            "the N={} site tilt zeta/T = {} reaches within {:g} of its peak at an end of "
+            "the grid [{:.6g}, {:.6g}], which cuts it off".format(
+                n, np.array2string(zeta[:decomp.dim] / T, precision=6), _TAIL_GAP,
+                *measure.domain_bounds))
     u_n = -(log_z_h - measure.base[0])
     if n > 1:  # log h in closed form: the masses themselves underflow at far nodes
         share = (site + np.log(measure.weights) - log_z_h) / (n - 1)

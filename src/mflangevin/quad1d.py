@@ -46,6 +46,7 @@ _KINDS = ("quartic", "gaussian", "periodic_fourier", "tabulated")
 _TAIL_GAP = 40.0
 _MAX_WIDENINGS = 60
 _MAX_REFINEMENTS = 12
+_ORDER = 16  # Gauss-Legendre nodes per real-line panel
 _GHS_GRID = 512  # test points of the class check on [0, half width] and on the domain
 
 
@@ -195,6 +196,16 @@ class PotentialSpec:
                     out[mask] = v1 + v2 * t
         return out
 
+    @property
+    def tail_curvature(self) -> float | None:
+        """V'' of quadratic tails: the Gaussian's curvature or the smaller of a
+        table's two continuations'; None for the quartic and the circle."""
+        if self.kind == "gaussian":
+            return self.curvature
+        if self.kind == "tabulated":
+            return min(end[3] for end in self._pieces[2])
+        return None
+
     @cached_property
     def _ghs(self) -> "GhsReport":
         """``check_ghs``'s report, computed on first use and kept."""
@@ -208,14 +219,13 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class LineMeasure:
-    """Quadrature representation of a measure proportional to exp(-V).
+    """Quadrature representation of a measure proportional to exp(-V), built by ``_grid``.
 
-    nodes/weights form a quadrature rule on [lo, hi] (or [0, 2pi)); the rule
-    has already passed the grid-doubling check at tolerance target_tol, and on
-    the real line the density at the endpoints is below 1e-16 of its maximum.
-    ``base`` is its log Z_0 and normalised masses, every tilt's denominator.
-    Values are immutable after construction and safe to share across threads.
-    """
+    nodes/weights form a rule of ``panels`` panels on domain_bounds that passed
+    grid doubling at target_tol; on the real line the density at the endpoints
+    is below 1e-16 of its maximum.  Derived, not stored: ``base`` (log Z_0 and the
+    normalised masses, every tilt's denominator) and ``extrapolated`` (past a table).
+    Values are immutable after construction and safe to share across threads."""
 
     potential: PotentialSpec
     nodes: np.ndarray
@@ -224,8 +234,10 @@ class LineMeasure:
     domain_bounds: tuple[float, float]
     target_tol: float
     panels: int
-    panel_order: int
-    extrapolated: bool = False
+
+    @property
+    def extrapolated(self) -> bool:
+        return self.potential.uses_extrapolation(*self.domain_bounds)
 
     @cached_property
     def base(self) -> tuple[float, np.ndarray]:
@@ -321,20 +333,19 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _composite_gauss_legendre(lo: float, hi: float, panels: int, order: int):
-    base_x, base_w = _leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
-def _circle_grid(points: int):
-    nodes = 2.0 * np.pi * np.arange(points) / points
-    weights = np.full(points, 2.0 * np.pi / points)
-    return nodes, weights
+def _grid(spec: PotentialSpec, lo: float, hi: float, panels: int, tol: float) -> LineMeasure:
+    """exp(-V) on [lo, hi], every LineMeasure: ``panels`` trapezoid points or _ORDER-node panels."""
+    if spec.domain == CIRCLE:
+        nodes = (hi - lo) * np.arange(panels) / panels + lo
+        weights = np.full(panels, (hi - lo) / panels)
+    else:
+        base_x, base_w = _leggauss(_ORDER)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = np.diff(edges) / 2.0
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+        weights = (half[:, None] * base_w[None, :]).ravel()
+    return LineMeasure(spec, nodes, weights, -spec.value(nodes), (lo, hi), tol, panels)
 
 
 def _circle_modes(nodes: np.ndarray) -> np.ndarray:
@@ -398,35 +409,36 @@ def _moment_distance(a, b) -> float:
 
 # -- domain selection -----------------------------------------------------------
 
-def _heavy_ends(spec: PotentialSpec, lo: float, hi: float, h_lo: float, h_hi: float,
-                peak: float) -> tuple[bool, bool]:
-    """Whether h*x - V(x) at lo, and at hi, comes within TAIL_GAP of peak for
-    some tilt h in [h_lo, h_hi]: the end that does must move outward."""
-    end_lo = max(h_lo * lo, h_hi * lo) - float(spec.value(lo))
-    end_hi = max(h_lo * hi, h_hi * hi) - float(spec.value(hi))
-    return end_lo > peak - _TAIL_GAP, end_hi > peak - _TAIL_GAP
+def _heavy_ends(spec: PotentialSpec, bounds, tilt, xs: np.ndarray,
+                log_density: np.ndarray) -> tuple[bool, bool]:
+    """The one truncation test: whether tilt(x) - V(x) at each end of ``bounds`` comes within
+    _TAIL_GAP of its peak over xs (-V there is ``log_density``), cutting the tilt off."""
+    ends = np.array(bounds, dtype=float)
+    heavy = tilt(ends) - spec.value(ends) > np.max(tilt(xs) + log_density) - _TAIL_GAP
+    return tuple(heavy.tolist())
 
 
-def _find_bounds(spec: PotentialSpec, h_lo: float = 0.0, h_hi: float = 0.0):
-    """Widen [lo, hi] until h*x - V(x) at both endpoints sits TAIL_GAP below
-    the interior maximum for every tilt h in [h_lo, h_hi]."""
-    probe = np.linspace(-4.0, 4.0, 1025)
-    lo, hi = -4.0, 4.0
+def _find_bounds(spec: PotentialSpec, h_lo: float = 0.0, h_hi: float = 0.0,
+                 lo: float = -4.0, hi: float = 4.0):
+    """[-4, 4] widened 1.5x per heavy end until ``_heavy_ends`` passes both on a probe for
+    x -> max(h_lo x, h_hi x), united with [lo, hi].  Widened from [lo, hi] instead, the
+    probe's peak can stop one end early (an asymmetric table, tilts of both signs)."""
+    a, b = -4.0, 4.0
+    probe = np.linspace(a, b, 1025)
     for _ in range(_MAX_WIDENINGS):
-        vals = spec.value(probe)
-        peak = max(np.max(h_lo * probe - vals), np.max(h_hi * probe - vals))
-        grow_lo, grow_hi = _heavy_ends(spec, lo, hi, h_lo, h_hi, peak)
+        grow_lo, grow_hi = _heavy_ends(spec, (a, b), lambda x: np.maximum(h_lo * x, h_hi * x),
+                                       probe, -spec.value(probe))
         if not (grow_lo or grow_hi):
-            return lo, hi
-        new_lo = lo * 1.5 if grow_lo else lo
-        new_hi = hi * 1.5 if grow_hi else hi
+            return min(a, lo), max(b, hi)
+        new_a = a * 1.5 if grow_lo else a
+        new_b = b * 1.5 if grow_hi else b
         # a potential that keeps decreasing outward can never be truncated
-        if grow_lo and float(spec.value(new_lo)) < float(spec.value(lo)) - _TAIL_GAP:
+        if grow_lo and float(spec.value(new_a)) < float(spec.value(a)) - _TAIL_GAP:
             raise NonNormalizable("potential decreases towards -inf; exp(-V) not integrable")
-        if grow_hi and float(spec.value(new_hi)) < float(spec.value(hi)) - _TAIL_GAP:
+        if grow_hi and float(spec.value(new_b)) < float(spec.value(b)) - _TAIL_GAP:
             raise NonNormalizable("potential decreases towards +inf; exp(-V) not integrable")
-        lo, hi = new_lo, new_hi
-        probe = np.linspace(lo, hi, 2049)
+        a, b = new_a, new_b
+        probe = np.linspace(a, b, 2049)
     raise NonNormalizable("domain widening did not terminate; exp(h*x - V) looks non-integrable")
 
 
@@ -436,66 +448,46 @@ def build_measure(spec: PotentialSpec, tol: float = 1e-10) -> LineMeasure:
     """Build a verified quadrature representation of exp(-V).
 
     Moment queries on the result are accurate to ``tol`` relative error,
-    certified by grid doubling.  Raises NonNormalizable when exp(-V) is not
-    integrable and GridFailure when refinement does not converge.
+    certified by one loop that doubles a ``_grid``'s panels until two agree on
+    log Z_0 and Fourier moments (max-abs) on the circle, or ``_moments``
+    (``_moment_distance``) on the real line.  Raises NonNormalizable when exp(-V)
+    is not integrable and GridFailure when refinement does not converge.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-
-    if spec.domain == CIRCLE:
-        points = 64
-        prev = None
-        for _ in range(_MAX_REFINEMENTS):
-            nodes, weights = _circle_grid(points)
-            cand = LineMeasure(spec, nodes, weights, -spec.value(nodes), (0.0, 2.0 * np.pi),
-                               tol, panels=points, panel_order=1)
-            # Fourier moments certify a trapezoid grid; polynomial moments of
-            # the angle are not periodic functions and would not
-            cur = np.concatenate([[cand.base[0]], _circle_modes(nodes) @ cand.base[1]])
-            if prev is not None and float(np.max(np.abs(cur - prev))) < tol:
-                return cand
-            prev, points = cur, points * 2
-        raise GridFailure("circle grid doubling did not converge")
-
-    lo, hi = _find_bounds(spec)
-    panels = max(8, int(math.ceil(hi - lo)))
+    circle = spec.domain == CIRCLE
+    lo, hi = (0.0, 2.0 * np.pi) if circle else _find_bounds(spec)
+    panels = 64 if circle else max(8, int(math.ceil(hi - lo)))
     prev = None
     for _ in range(_MAX_REFINEMENTS):
-        cand = _line_measure(spec, lo, hi, panels, 16, tol)
-        cur = (cand.base[0], *_moments(cand.base[1], cand.nodes))
-        if prev is not None and _moment_distance(prev, cur) < tol:
+        cand = _grid(spec, lo, hi, panels, tol)
+        log_z, p = cand.base  # an angle's polynomial moments are not periodic; Fourier's are
+        cur = (np.concatenate([[log_z], _circle_modes(cand.nodes) @ p]) if circle
+               else (log_z, *_moments(p, cand.nodes)))
+        if prev is not None and (float(np.max(np.abs(cur - prev))) if circle
+                                 else _moment_distance(prev, cur)) < tol:
             return cand
         prev, panels = cur, panels * 2
-    raise GridFailure("grid doubling did not converge within the refinement budget")
-
-
-def _line_measure(spec: PotentialSpec, lo: float, hi: float, panels: int, order: int,
-                  tol: float) -> LineMeasure:
-    """exp(-V) on Gauss-Legendre panels over [lo, hi]: every real-line grid."""
-    nodes, weights = _composite_gauss_legendre(lo, hi, panels, order)
-    return LineMeasure(spec, nodes, weights, -spec.value(nodes), (lo, hi), tol, panels=panels,
-                       panel_order=order, extrapolated=spec.uses_extrapolation(lo, hi))
+    raise GridFailure("circle grid doubling did not converge" if circle
+                      else "grid doubling did not converge within the refinement budget")
 
 
 def _rebuild_for_tilts(measure: LineMeasure, h_lo: float, h_hi: float) -> LineMeasure:
     """Return a measure whose domain safely contains the tilted densities for
-    every h in [h_lo, h_hi]; the input measure when it already does."""
-    if measure.potential.domain == CIRCLE:
+    every h in [h_lo, h_hi]: the input measure when ``_heavy_ends`` passes on its
+    nodes, else a ``_grid`` at its panel density on the ``_find_bounds`` holding its own."""
+    spec, (lo, hi) = measure.potential, measure.domain_bounds
+    if spec.domain == CIRCLE or not any(_heavy_ends(
+            spec, (lo, hi), lambda x: np.maximum(h_lo * x, h_hi * x), measure.nodes,
+            measure.log_density)):
         return measure
-    lo, hi = measure.domain_bounds
-    g_interior = np.maximum(h_lo * measure.nodes, h_hi * measure.nodes) + measure.log_density
-    peak = float(np.max(g_interior))
-    spec = measure.potential
-    if not any(_heavy_ends(spec, lo, hi, h_lo, h_hi, peak)):
-        return measure
-    new_lo, new_hi = _find_bounds(spec, h_lo, h_hi)
-    new_lo, new_hi = min(new_lo, lo), max(new_hi, hi)
+    new_lo, new_hi = _find_bounds(spec, h_lo, h_hi, lo, hi)
     density = measure.panels / (hi - lo)
     panels = max(8, int(math.ceil(density * (new_hi - new_lo))))
     if panels > 2_000_000:
         raise GridFailure(
             f"tilt [{h_lo:.3g}, {h_hi:.3g}] needs {panels} panels; domain too wide to resolve")
-    return _line_measure(spec, new_lo, new_hi, panels, measure.panel_order, measure.target_tol)
+    return _grid(spec, new_lo, new_hi, panels, measure.target_tol)
 
 
 def tilt_table(measure: LineMeasure, hs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -76,15 +76,18 @@ class FreeEnergyTable:
 
 def auto_phi_grid(measure: LineMeasure, T: float, points: int = 801) -> np.ndarray:
     """Symmetric grid [-W, W], from W = 2 widened until |v'| increases outward
-    at both ends, which guarantees every stationary point is interior.  The
-    Gaussian's v(phi) = phi^2 (1 - 1/(c T))/(2T) has no minimiser at c T <= 1,
-    so it is refused there before any tilt."""
+    at both ends, which guarantees every stationary point is interior.  Past
+    quadratic tails of curvature c (``tail_curvature``: the Gaussian's, a
+    table's continuations) v'(phi) = phi (1 - 1/(c T))/T + O(1), so v has no
+    minimiser at c T <= 1; that is refused before any tilt."""
     if not T > 0:
         raise ValueError("temperature must be positive")
     spec = measure.potential
-    if spec.kind == "gaussian" and spec.curvature * T <= 1.0:
-        raise GridTooNarrow(f"v(phi) of the Gaussian has no minimiser at T = {T:.6g} <= "
-                            f"1/curvature = {1.0 / spec.curvature:.6g}")
+    c = spec.tail_curvature
+    if c is not None and c * T <= 1.0:
+        what = "the Gaussian" if spec.kind == "gaussian" else "the table's quadratic tails"
+        bound = f" <= 1/curvature = {1.0 / c:.6g}" if c > 0 else f": their curvature is {c:.6g}"
+        raise GridTooNarrow(f"v(phi) of {what} has no minimiser at T = {T:.6g}{bound}")
     w = 2.0
     for _ in range(40):
         probe = np.linspace(-w, w, 9)
@@ -235,8 +238,7 @@ def coarse_free_energy(measure: LineMeasure, T: float, m_grid: np.ndarray) -> Fr
             (m_lo, m_hi), big = measure.domain_bounds, _MAX_FIELD_BRACKET / T
             if measure.potential.domain != CIRCLE:
                 try:
-                    far = _find_bounds(measure.potential, -big, big)
-                    m_lo, m_hi = min(m_lo, far[0]), max(m_hi, far[1])
+                    m_lo, m_hi = _find_bounds(measure.potential, -big, big, m_lo, m_hi)
                 except NonNormalizable:  # smaller tilts may still resolve: the search decides
                     m_lo, m_hi = -np.inf, np.inf
             beyond = (m_grid <= m_lo) | (m_grid >= m_hi)
@@ -290,12 +292,15 @@ def lsi_bound_quadratic(T: float, curvature_floor: float, gamma_v: float) -> flo
 
         1/gamma <= 1/gamma_v + 1/(gamma_v^2 * T^2 * curvature_floor).
 
-    Raises NonPositiveCurvature when the floor is not positive (the bound
-    does not apply there).
+    Raises ValueError unless T > 0 and 0 < gamma_v < inf, and
+    NonPositiveCurvature unless the floor is positive (the bound does not
+    apply there); NaN is refused everywhere.
     """
-    if curvature_floor <= 0:
+    if not T > 0:
+        raise ValueError("temperature must be positive")
+    if not curvature_floor > 0:
         raise NonPositiveCurvature("curvature floor must be positive for the quadratic bound")
-    if gamma_v <= 0:
-        raise ValueError("gamma_v must be positive")
+    if not 0 < gamma_v < np.inf:
+        raise ValueError(f"gamma_v must be positive and finite, got {gamma_v}")
     return 1.0 / gamma_v + 1.0 / (gamma_v**2 * T**2 * curvature_floor)
 

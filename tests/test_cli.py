@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +332,7 @@ def test_settable_value_count():
                 keywords += _keywords_with_default(obj)
             keywords += sum(_keywords_with_default(getattr(obj, attr))
                             for attr, raw in vars(obj).items() if isinstance(raw, classmethod))
-    assert (cli_keys, keywords) == (94, 28)
+    assert (cli_keys, keywords) == (94, 27)
 
 
 def test_simulate_circle_with_decomposition(tmp_path):
@@ -525,6 +526,19 @@ def test_scan_vt_refuses_a_gaussian_at_or_below_1_over_curvature(tmp_path, capsy
     code = run("scan-vt", "--potential", "gaussian", "--curvature", "1", "--T", "0.8",
                "--out", str(tmp_path / "o"))
     assert_refused(code, capsys.readouterr().err, "no minimiser", "1/curvature = 1")
+
+
+def test_scan_vt_refuses_a_table_whose_tails_are_too_flat(tmp_path, capsys):
+    # tail curvature 3.3094 at T = 0.3: refused at once, where it used to widen the
+    # grid for 17 s before running out of panels
+    xs = np.linspace(-1.2, 1.2, 49)
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.column_stack([xs, xs**4 / 4 - xs**2 / 2]), delimiter=",")
+    start = time.perf_counter()
+    code = run("scan-vt", "--potential", "tabulated", "--file", str(table), "--T", "0.3",
+               "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - start < 1.0
+    assert_refused(code, capsys.readouterr().err, "no minimiser", "1/curvature = 0.302168")
 
 
 def test_graph_spectrum_reruns_to_the_same_bytes_on_a_small_graph(tmp_path):

@@ -135,9 +135,8 @@ def _check_moments(nodes, weights, log_density):
 @pytest.mark.parametrize("spec", [PotentialSpec.gaussian(1.0), PotentialSpec.quartic(1.0)])
 def test_grid_doubling_stability(spec):
     m = build_measure(spec, 1e-10)
-    lo, hi = m.domain_bounds
-    nodes, weights = quad1d._composite_gauss_legendre(lo, hi, 2 * m.panels, m.panel_order)
-    fine = _check_moments(nodes, weights, -spec.value(nodes))
+    fine_m = quad1d._grid(spec, *m.domain_bounds, 2 * m.panels, m.target_tol)
+    fine = _check_moments(fine_m.nodes, fine_m.weights, -spec.value(fine_m.nodes))
     coarse = _check_moments(m.nodes, m.weights, m.log_density)
     assert quad1d._moment_distance(coarse, fine) < m.target_tol
 
@@ -149,10 +148,45 @@ def test_circle_grid_doubling_stability(uniform_circle):
         log_z, p = _zero_tilt(nodes, weights, log_density)
         return np.concatenate([[log_z], quad1d._circle_modes(nodes) @ p])
 
-    nodes, weights = quad1d._circle_grid(2 * m.panels)
-    fine = check_vector(nodes, weights, -m.potential.value(nodes))
+    fine_m = quad1d._grid(m.potential, *m.domain_bounds, 2 * m.panels, m.target_tol)
+    fine = check_vector(fine_m.nodes, fine_m.weights, -m.potential.value(fine_m.nodes))
     coarse = check_vector(m.nodes, m.weights, m.log_density)
     assert float(np.max(np.abs(fine - coarse))) < m.target_tol
+
+
+_XS = np.linspace(-2.0, 2.0, 200)
+_GRID_SPECS = [PotentialSpec.periodic_fourier([0.4, -0.2]), PotentialSpec.quartic(1.0),
+               PotentialSpec.gaussian(1.0), PotentialSpec.tabulated(_XS, _XS**2 / 2)]
+
+
+@pytest.mark.parametrize("spec", _GRID_SPECS, ids=["circle", "quartic", "gaussian", "table"])
+def test_grid_rebuilds_a_measure_bit_for_bit(spec):
+    m = build_measure(spec, 1e-10)
+    again = quad1d._grid(spec, *m.domain_bounds, m.panels, m.target_tol)
+    for name in ("nodes", "weights", "log_density"):
+        assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
+    assert (again.domain_bounds, again.panels, again.extrapolated) == \
+        (m.domain_bounds, m.panels, m.extrapolated)
+
+
+def test_find_bounds_from_a_measure_is_the_widening_of_4_united_with_it():
+    """Bounds for a tilt range that must hold a measure's own are [-4, 4] widened
+    for the tilts, united with the measure's: the widening does not start at the
+    measure's bounds.  On an asymmetric table with tilts of both signs, a start
+    at (-13.5, 9) would stop the upper end at 9."""
+    xs = np.linspace(-6.0, 6.0, 1201)
+    asym = PotentialSpec.tabulated(xs, xs**2 / 2 + 0.5 * xs)
+    specs = [PotentialSpec.quartic(-1.0), PotentialSpec.quartic(2.0),
+             PotentialSpec.gaussian(0.2), PotentialSpec.tabulated(_XS, _XS**2 / 2), asym]
+    hs = [-1e4, -300.0, -20.0, -1.0, 0.0, 0.5, 20.0, 1e3]
+    for spec in specs:
+        lo, hi = build_measure(spec, 1e-8).domain_bounds
+        for h_lo, h_hi in zip(hs[:-1], hs[1:]):
+            a, b = quad1d._find_bounds(spec, h_lo, h_hi)
+            assert quad1d._find_bounds(spec, h_lo, h_hi, lo, hi) == (min(a, lo), max(b, hi))
+    m = build_measure(asym, 1e-8)
+    assert m.domain_bounds == (-13.5, 9.0)
+    assert quad1d._rebuild_for_tilts(m, -20.0, 20.0).domain_bounds == (-30.375, 30.375)
 
 
 @pytest.mark.parametrize("h", [-1.5, -0.3, 0.0, 0.8, 2.0])
@@ -365,7 +399,7 @@ def _moment_step(monkeypatch, nodes, q):
     monkeypatch.setattr(quad1d, "_tilted_masses", masses)
     measure = quad1d.LineMeasure(PotentialSpec.periodic_fourier([]), nodes, np.ones_like(nodes),
                                  np.zeros_like(nodes), (0.0, 2.0 * np.pi), 1e-10,
-                                 panels=len(nodes), panel_order=1)
+                                 panels=len(nodes))
     return lambda rows: tilt_table(measure, np.asarray(rows, dtype=float))[1:]
 
 

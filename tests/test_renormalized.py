@@ -66,6 +66,43 @@ def test_auto_phi_grid_refuses_a_gaussian_without_minimiser(curvature, T, monkey
         rn.auto_phi_grid(measure, T)
 
 
+def _double_well_table():
+    # x^4/4 - x^2/2 at 49 points on [-1.2, 1.2]: both quadratic continuations have V'' = 3.3094
+    xs = np.linspace(-1.2, 1.2, 49)
+    return PotentialSpec.tabulated(xs, xs**4 / 4 - xs**2 / 2)
+
+
+@pytest.mark.parametrize("T", [0.3, 0.25])
+def test_auto_phi_grid_refuses_a_table_whose_tails_are_too_flat(T, monkeypatch):
+    # past the table v'(phi) = phi (1 - 1/(c T))/T + O(1) with c its tail curvature:
+    # no minimiser at c T <= 1, refused before any tilt
+    measure = build_measure(_double_well_table())
+    assert measure.potential.tail_curvature == pytest.approx(3.3094, abs=1e-4)
+
+    def no_tilt(*args, **kwargs):
+        raise AssertionError("a tilt was computed for a table without a minimiser")
+
+    monkeypatch.setattr(rn, "tilt_table", no_tilt)
+    with pytest.raises(GridTooNarrow, match=f"no minimiser at T = {T:g} <= 1/curvature = 0.302168"):
+        rn.auto_phi_grid(measure, T)
+
+
+def test_auto_phi_grid_refuses_linear_tails_without_dividing_by_zero(quartic1_measure,
+                                                                     monkeypatch):
+    monkeypatch.setattr(PotentialSpec, "tail_curvature", property(lambda self: 0.0))
+    with pytest.raises(GridTooNarrow, match="no minimiser at T = 1: their curvature is 0"):
+        rn.auto_phi_grid(quartic1_measure, 1.0)
+
+
+def test_tail_curvature_of_each_kind():
+    assert PotentialSpec.gaussian(2.5).tail_curvature == 2.5
+    assert PotentialSpec.quartic(1.0).tail_curvature is None
+    assert PotentialSpec.periodic_fourier([0.5]).tail_curvature is None
+    xs = np.linspace(-2.0, 3.0, 101)  # the smaller end: 0.5 at the left, 3 at the right
+    spec = PotentialSpec.tabulated(xs, np.where(xs < 0, 0.25, 1.5) * xs**2)
+    assert spec.tail_curvature == pytest.approx(0.5, abs=1e-12)
+
+
 def test_grid_too_narrow(quartic1_measure):
     with pytest.raises(GridTooNarrow):
         # entirely inside the left well: v' has no ascending crossing
@@ -463,6 +500,16 @@ def test_lsi_bound_exact_formula(T, floor, gamma_v):
 def test_lsi_bound_rejects_flat():
     with pytest.raises(NonPositiveCurvature):
         rn.lsi_bound_quadratic(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("T, floor, gamma_v, error", [
+    (-1.0, 1.0, 1.0, ValueError), (0.0, 1.0, 1.0, ValueError),
+    (float("nan"), 1.0, 1.0, ValueError), (1.0, -1.0, 1.0, NonPositiveCurvature),
+    (1.0, float("nan"), 1.0, NonPositiveCurvature), (1.0, 1.0, 0.0, ValueError),
+    (1.0, 1.0, float("nan"), ValueError), (1.0, 1.0, float("inf"), ValueError)])
+def test_lsi_bound_refuses_what_it_cannot_bound(T, floor, gamma_v, error):
+    with pytest.raises(error):
+        rn.lsi_bound_quadratic(T, floor, gamma_v)
 
 
 def test_lsi_bound_diverges_linearly(quartic1_measure, quartic1_tc):
